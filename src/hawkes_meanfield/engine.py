@@ -74,7 +74,8 @@ class EventLog:
 
     def counts(self, t: float) -> np.ndarray:
         """Integer count of each particle at time t (jumps at exactly t included)."""
-        return np.array([np.searchsorted(j, t, side="right") for j in self.jumps], dtype=np.int64)
+        times, owner = _flat_jumps(self)
+        return np.bincount(owner[times <= t], minlength=self.N).astype(np.int64, copy=False)
 
     @property
     def total_jumps(self) -> int:
@@ -88,6 +89,13 @@ class CouplingLog:
     hawkes: EventLog
     poisson: EventLog
     seed: int
+
+
+def _flat_jumps(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
+    """All jump times of a log in particle order, with the particle of each."""
+    sizes = [j.size for j in log.jumps]
+    times = np.concatenate(log.jumps) if sum(sizes) else np.zeros(0)
+    return times, np.repeat(np.arange(log.N), sizes)
 
 
 def _freeze_jumps(jumps: list[list[float]]) -> tuple[np.ndarray, ...]:
@@ -193,6 +201,13 @@ def _lambda_interp(mean: MeanPath):
     return at
 
 
+def _bound_violation(what: str, lam: float, lam_bar: float, t: float) -> str:
+    return (
+        f"thinning bound violated: {what} {lam!r} exceeds the dominating rate "
+        f"{lam_bar!r} at t={t!r} (kernel norm or Lipschitz constant under-reported?)"
+    )
+
+
 def _run_thinning(
     mode: str,
     N: int,
@@ -242,10 +257,11 @@ def _run_thinning(
             g0 = float(grad_psi[k, x])
             return g0 + frac * (float(grad_psi[k + 1, x]) - g0)
 
-    streams = [
-        MarkStream(seed, stream_indices[i] if stream_indices is not None else i)
-        for i in range(N)
-    ]
+    if stream_indices is None:
+        stream_indices = range(N)
+    elif len(stream_indices) != N:
+        raise ValueError(f"need {N} stream indices, got {len(stream_indices)}")
+    streams = MarkStream.batch(seed, stream_indices)
     heap = [(streams[i].exponential(), i) for i in range(N)]
     heapq.heapify(heap)
 
@@ -277,22 +293,21 @@ def _run_thinning(
             break
         z = streams[i].uniform()
         zl = z * lam_bar
-        accepted = False
         if mode == "hawkes":
             lam = phi(cache.value(t_cand))
-            assert lam <= lam_bar * (1.0 + 1e-9), "thinning bound violated"
-            accepted = zl < lam
         elif mode == "coupled":
             lam = phi(cache.value(t_cand))
             lam_mf = mf_at(t_cand)
-            assert max(lam, lam_mf) <= lam_bar * (1.0 + 1e-9), "thinning bound violated"
-            accepted = zl < lam
+            if not lam_mf <= lam_bar * (1.0 + 1e-9):
+                raise SimulationError(_bound_violation("limit intensity", lam_mf, lam_bar, t_cand))
             if zl < lam_mf:
                 jumps_mf[i].append(t_cand)
         else:  # perturbed
             lam = math.exp(tilt * grad_at(t_cand, counts[i])) * phi(cache.value(t_cand))
-            assert lam <= lam_bar * (1.0 + 1e-9), "thinning bound violated"
-            accepted = zl < lam
+        # the negated form also catches NaN; an assert would vanish under python -O
+        if not lam <= lam_bar * (1.0 + 1e-9):
+            raise SimulationError(_bound_violation("intensity", lam, lam_bar, t_cand))
+        accepted = zl < lam
         t = t_cand
         q_ref = q
         if accepted:
@@ -384,9 +399,7 @@ def mean_path(log: EventLog, grid: TimeGrid) -> np.ndarray:
     """Empirical mean count Zbar(t_k) = N^-1 sum_i count_i(t_k) on the grid."""
     if abs(grid.T - log.T) > 1e-9 * max(1.0, log.T):
         raise ValueError(f"grid horizon {grid.T} does not match log horizon {log.T}")
-    if log.total_jumps == 0:
-        return np.zeros(grid.n + 1)
-    allj = np.sort(np.concatenate([j for j in log.jumps if j.size]))
+    allj = np.sort(_flat_jumps(log)[0])
     return np.searchsorted(allj, grid.points, side="right") / log.N
 
 
@@ -408,14 +421,26 @@ def sup_path_difference(a: EventLog, b: EventLog) -> np.ndarray:
     """
     if a.N != b.N:
         raise ValueError("event logs must have the same particle count")
+    ta, pa = _flat_jumps(a)
+    tb, pb = _flat_jumps(b)
+    times = np.concatenate([ta, tb])
+    owner = np.concatenate([pa, pb])
+    step = np.concatenate([np.ones(ta.size, np.int64), -np.ones(tb.size, np.int64)])
+    order = np.lexsort((times, owner))
+    times, owner, step = times[order], owner[order], step[order]
+    # running count_a - count_b within each particle: the global running sum
+    # minus its value just before the particle's first event
+    run = np.cumsum(step)
+    starts = np.ones(owner.size, bool)
+    starts[1:] = owner[1:] != owner[:-1]
+    first = np.maximum.accumulate(np.where(starts, np.arange(owner.size), 0))
+    diff = run - (run - step)[first]
+    # read the difference right after each distinct (particle, time), so
+    # simultaneous jumps of a and b cancel
+    last = np.ones(owner.size, bool)
+    last[:-1] = (owner[1:] != owner[:-1]) | (times[1:] != times[:-1])
     out = np.zeros(a.N)
-    for i in range(a.N):
-        ja, jb = a.jumps[i], b.jumps[i]
-        if ja.size == 0 and jb.size == 0:
-            continue
-        times = np.union1d(ja, jb)
-        diff = np.searchsorted(ja, times, side="right") - np.searchsorted(jb, times, side="right")
-        out[i] = float(np.max(np.abs(diff)))
+    np.maximum.at(out, owner[last], np.abs(diff[last]))
     return out
 
 
@@ -431,15 +456,32 @@ def event_log_to_bytes(log: EventLog) -> bytes:
 
 
 def event_log_from_bytes(buf: bytes, kind: str = "hawkes") -> EventLog:
+    """Inverse of :func:`event_log_to_bytes`; ``ValueError`` on any malformed record."""
     if buf[:4] != _MAGIC:
         raise ValueError("not an event-log record (bad magic)")
+    off = 4 + struct.calcsize("<HIdQ")
+    if len(buf) < off:
+        raise ValueError(f"truncated event-log header: {len(buf)} of {off} bytes")
     version, n, t, seed = struct.unpack_from("<HIdQ", buf, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported event-log version {version}")
-    off = 4 + struct.calcsize("<HIdQ")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"event-log horizon must be finite and positive, got T={t!r}")
+    if len(buf) < off + 4 * n:
+        raise ValueError(f"truncated event-log counts: {len(buf)} bytes, need {off + 4 * n}")
     counts = np.frombuffer(buf, dtype="<u4", count=n, offset=off)
     off += 4 * n
-    times = np.frombuffer(buf, dtype="<f8", count=int(counts.sum()), offset=off)
+    expected = off + 8 * int(counts.sum(dtype=np.int64))
+    if len(buf) != expected:
+        what = "truncated event-log jump times" if len(buf) < expected else "trailing bytes after event log"
+        raise ValueError(f"{what}: {len(buf)} bytes, expected {expected}")
+    times = np.frombuffer(buf, dtype="<f8", count=(expected - off) // 8, offset=off)
+    if not np.all((times > 0.0) & (times <= t)):
+        raise ValueError(f"event-log jump times must lie in (0, T] with T={t!r}")
+    starts = np.cumsum(counts, dtype=np.int64)[:-1]
+    drops = np.flatnonzero(np.diff(times) < 0.0) + 1
+    if not np.all(np.isin(drops, starts)):
+        raise ValueError("event-log jump times decrease within a particle")
     jumps = []
     pos = 0
     for c in counts:

@@ -1,12 +1,22 @@
+import hashlib
 import math
+import os
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from hawkes_meanfield.meanfield import TimeGrid
+from hawkes_meanfield import engine
+from hawkes_meanfield.meanfield import TimeGrid, solve_mean
+from hawkes_meanfield.model import Kernel, RateFn
 from hawkes_meanfield.engine import (
     EventLog,
+    SimulationError,
     empirical_measure,
     event_log_from_bytes,
     event_log_to_bytes,
@@ -17,7 +27,7 @@ from hawkes_meanfield.engine import (
     simulate_perturbed,
     sup_path_difference,
 )
-from hawkes_meanfield.rng import derive_seed
+from hawkes_meanfield.rng import MarkStream, derive_seed
 
 
 def chi_square_poisson_p(counts: np.ndarray, mean: float) -> float:
@@ -213,3 +223,225 @@ def test_csv_format(zero_kernel, const2_rate):
     lines = text.strip().split("\n")
     assert lines[0] == "particle,jump_time"
     assert len(lines) == 1 + log.total_jumps
+
+
+# --- vectorized post-processing against per-particle references -------------------
+
+def _sup_path_difference_loop(a: EventLog, b: EventLog) -> np.ndarray:
+    # reference: the per-particle union of event times
+    out = np.zeros(a.N)
+    for i in range(a.N):
+        ja, jb = a.jumps[i], b.jumps[i]
+        if ja.size == 0 and jb.size == 0:
+            continue
+        times = np.union1d(ja, jb)
+        diff = np.searchsorted(ja, times, side="right") - np.searchsorted(jb, times, side="right")
+        out[i] = float(np.max(np.abs(diff)))
+    return out
+
+
+# jump times on a coarse lattice, so logs share jumps and repeat times often
+_lattice_jumps = st.lists(st.integers(1, 8), max_size=6).map(
+    lambda ks: np.array(sorted(k / 8.0 for k in ks))
+)
+
+
+@st.composite
+def _log_pairs(draw):
+    n = draw(st.integers(1, 6))
+    logs = []
+    for kind in ("hawkes", "mf_poisson"):
+        jumps = tuple(draw(_lattice_jumps) for _ in range(n))
+        logs.append(EventLog(N=n, T=1.0, jumps=jumps, seed=0, kind=kind))
+    return logs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_log_pairs())
+def test_sup_path_difference_matches_per_particle_reference(pair):
+    a, b = pair
+    assert np.array_equal(sup_path_difference(a, b), _sup_path_difference_loop(a, b))
+    assert np.array_equal(sup_path_difference(b, a), _sup_path_difference_loop(b, a))
+
+
+def test_sup_path_difference_matches_reference_on_coupled_logs(exp_kernel, affine_rate, explin_mean):
+    c = simulate_coupled(2000, exp_kernel, affine_rate, explin_mean, 1.0, seed=59)
+    got = sup_path_difference(c.hawkes, c.poisson)
+    assert got.max() > 0
+    assert np.array_equal(got, _sup_path_difference_loop(c.hawkes, c.poisson))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_log_pairs(), st.data())
+def test_counts_match_per_particle_searchsorted(pair, data):
+    log = pair[0]
+    jump_times = sorted({float(t) for j in log.jumps for t in j})
+    t = data.draw(st.sampled_from(jump_times) if jump_times else st.just(0.5))  # often exactly on a jump
+    want = np.array([np.searchsorted(j, t, side="right") for j in log.jumps], dtype=np.int64)
+    got = log.counts(t)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(log.counts(1.0), [j.size for j in log.jumps])
+
+
+# --- golden bytes ------------------------------------------------------------------
+
+def _sha(log: EventLog) -> str:
+    return hashlib.sha256(event_log_to_bytes(log)).hexdigest()
+
+
+# recorded before the grouped sup_path_difference and the batch-built mark
+# streams went in: both must leave every event-log byte unchanged
+GOLDEN = {
+    "hawkes_exp": "b6ab2a1e9146e6f1e6724d69faa1416eb84640cbf4047457e59ee2a58daad054",
+    "hawkes_exp_remap": "ca4a2daf849d7255fbed64a2aef0c4078ddeda57c5a0f773c324a3adaa86b6b3",
+    "hawkes_tab": "1fbd838f106ca2ea77afa2c93e56a7f3925f6f8c6f3f6637e028bdaa721338d5",
+    "coupled_hawkes": "16a6c074b5e479ad93bd2843827b7f5a2bb0a9c9d58c78f55cacc0b0cd367804",
+    "coupled_poisson": "5fb67e648997254d358636e1da297b6713a189aa0ec0f2880bbf434ad5e22d77",
+    "perturbed": "f848772dd331884e3edec95d9f0548c6e351209e531283ba1143565e20142ef8",
+}
+
+
+def test_golden_bytes_hawkes(exp_kernel, affine_rate):
+    # T = 2 runs many particles past the prefetched words of their streams
+    assert _sha(simulate_hawkes(300, exp_kernel, affine_rate, 2.0, seed=2024)) == GOLDEN["hawkes_exp"]
+    remap = simulate_hawkes(40, exp_kernel, affine_rate, 2.0, seed=2024, stream_indices=range(39, -1, -1))
+    assert _sha(remap) == GOLDEN["hawkes_exp_remap"]
+    tab = Kernel.tabulated([0.0, 0.25, 0.5, 1.0], [1.0, 0.7, 0.4, 0.0])
+    assert _sha(simulate_hawkes(120, tab, affine_rate, 1.0, seed=2025)) == GOLDEN["hawkes_tab"]
+
+
+def test_golden_bytes_coupled(exp_kernel, affine_rate, explin_mean):
+    c = simulate_coupled(400, exp_kernel, affine_rate, explin_mean, 1.0, seed=2026)
+    assert _sha(c.hawkes) == GOLDEN["coupled_hawkes"]
+    assert _sha(c.poisson) == GOLDEN["coupled_poisson"]
+
+
+def test_golden_bytes_perturbed(exp_kernel, affine_rate):
+    grid = TimeGrid.from_T_dt(1.0, 0.01)
+    log = simulate_perturbed(200, exp_kernel, affine_rate, 0.5 * _ell_grad(grid, 40), grid, 0.4, 1.0, seed=2027)
+    assert _sha(log) == GOLDEN["perturbed"]
+
+
+def test_thinning_draws_through_the_module_stream_class(monkeypatch, exp_kernel, affine_rate):
+    # an instrumented MarkStream swapped into the engine sees every draw
+    draws = {"uniform": 0, "exponential": 0}
+
+    class Counting(MarkStream):
+        __slots__ = ()
+
+        def uniform(self):
+            draws["uniform"] += 1
+            return MarkStream.uniform(self)
+
+        def exponential(self):
+            draws["exponential"] += 1
+            return MarkStream.exponential(self)
+
+    plain = simulate_hawkes(100, exp_kernel, affine_rate, 1.0, seed=61)
+    monkeypatch.setattr(engine, "MarkStream", Counting)
+    counted = simulate_hawkes(100, exp_kernel, affine_rate, 1.0, seed=61)
+    assert event_log_to_bytes(counted) == event_log_to_bytes(plain)
+    assert draws["uniform"] >= plain.total_jumps > 0
+    # one exponential per particle up front, then one per candidate
+    assert draws["exponential"] == draws["uniform"] + 100
+
+
+def test_stream_indices_must_cover_every_particle(exp_kernel, affine_rate):
+    with pytest.raises(ValueError, match="stream indices"):
+        simulate_hawkes(3, exp_kernel, affine_rate, 1.0, seed=1, stream_indices=[0, 1])
+
+
+# --- the thinning bound is enforced by an exception, not an assert -----------------
+
+def _under_reported_norms(kernel, T, dt):
+    return 0.0, 0.0
+
+
+@pytest.mark.parametrize("mode", ["hawkes", "coupled", "perturbed"])
+def test_under_reported_sup_norm_raises(monkeypatch, exp_kernel, affine_rate, mode):
+    # with ||h||_sup reported as 0 the dominating rate stays at phi(0) = 1
+    # (and the comparison intensity is 1), so the first jump's excitation
+    # pushes the intensity past it
+    monkeypatch.setattr(engine, "kernel_norms", _under_reported_norms)
+    grid = TimeGrid.from_T_dt(1.0, 0.01)
+    run = {
+        "hawkes": lambda: simulate_hawkes(200, exp_kernel, affine_rate, 1.0, seed=67),
+        "coupled": lambda: simulate_coupled(
+            200, exp_kernel, affine_rate, solve_mean(Kernel.zero(), RateFn.affine(1.0, 0.0), 1.0, 1e-2), 1.0, seed=67
+        ),
+        "perturbed": lambda: simulate_perturbed(
+            200, exp_kernel, affine_rate, np.zeros((grid.n + 1, 4)), grid, 0.1, 1.0, seed=67
+        ),
+    }[mode]
+    with pytest.raises(SimulationError, match="thinning bound violated"):
+        run()
+
+
+def test_under_reported_sup_norm_raises_under_optimize():
+    script = (
+        "from hawkes_meanfield import engine\n"
+        "from hawkes_meanfield.model import Kernel, RateFn\n"
+        "engine.kernel_norms = lambda kernel, T, dt: (0.0, 0.0)\n"
+        "try:\n"
+        "    engine.simulate_hawkes(200, Kernel.exponential(1.0, 2.0), RateFn.affine(1.0, 1.0), 1.0, seed=67)\n"
+        "except engine.SimulationError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
+
+
+# --- the binary codec rejects malformed records -------------------------------------
+
+def _record(n: int, T: float, counts, times) -> bytes:
+    head = b"HWKS" + struct.pack("<HIdQ", 1, n, T, 0)
+    return head + np.array(counts, "<u4").tobytes() + np.array(times, "<f8").tobytes()
+
+
+def test_binary_valid_hand_built_record():
+    log = event_log_from_bytes(_record(2, 1.0, [2, 1], [0.25, 0.5, 1.0]))
+    assert [j.tolist() for j in log.jumps] == [[0.25, 0.5], [1.0]]
+
+
+def test_binary_rejects_truncated_header():
+    good = _record(2, 1.0, [2, 1], [0.25, 0.5, 1.0])
+    for cut in (6, 20, 25):
+        with pytest.raises(ValueError, match="truncated"):
+            event_log_from_bytes(good[:cut])
+
+
+def test_binary_rejects_truncated_body():
+    good = _record(2, 1.0, [2, 1], [0.25, 0.5, 1.0])
+    for cut in (30, len(good) - 8, len(good) - 1):
+        with pytest.raises(ValueError, match="truncated"):
+            event_log_from_bytes(good[:cut])
+
+
+def test_binary_rejects_trailing_bytes(exp_kernel, affine_rate):
+    buf = event_log_to_bytes(simulate_hawkes(20, exp_kernel, affine_rate, 1.0, seed=71))
+    with pytest.raises(ValueError, match="trailing"):
+        event_log_from_bytes(buf + b"junk!!!!")
+
+
+def test_binary_rejects_decreasing_times():
+    with pytest.raises(ValueError, match="decrease"):
+        event_log_from_bytes(_record(2, 1.0, [2, 1], [0.5, 0.25, 1.0]))
+    # a drop between two particles is not a decrease
+    event_log_from_bytes(_record(2, 1.0, [2, 1], [0.25, 0.5, 0.1]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, float("nan"), float("inf")])
+def test_binary_rejects_times_outside_horizon(bad):
+    with pytest.raises(ValueError, match=r"\(0, T\]"):
+        event_log_from_bytes(_record(2, 1.0, [1, 1], [0.5, bad]))
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, float("nan"), float("inf")])
+def test_binary_rejects_bad_horizon(T):
+    with pytest.raises(ValueError, match="horizon"):
+        event_log_from_bytes(_record(1, T, [0], []))

@@ -1,6 +1,8 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hawkes_meanfield.rng import MarkStream, derive_seed, stream_key
+from hawkes_meanfield.rng import PREFETCH, MarkStream, derive_seed, stream_key
 
 
 def test_reproducible_streams():
@@ -46,3 +48,30 @@ def test_normal_moments():
 def test_derive_seed_spreads():
     seeds = {derive_seed(1, i) for i in range(1000)}
     assert len(seeds) == 1000
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    indices=st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
+    kinds=st.lists(st.booleans(), min_size=PREFETCH + 3, max_size=2 * PREFETCH),
+)
+def test_batch_streams_match_scalar_streams(seed, indices, kinds):
+    # every draw sequence runs past the prefetched words into the scalar mixer
+    batch = MarkStream.batch(seed, indices)
+    for index, stream in zip(indices, batch, strict=True):
+        ref = MarkStream(seed, index)
+        for exp in kinds:
+            got, want = (stream.exponential(), ref.exponential()) if exp else (stream.uniform(), ref.uniform())
+            assert got.hex() == want.hex()
+        assert stream.key == ref.key and stream.counter == ref.counter
+        assert np.array_equal(stream.uniforms(5), ref.uniforms(5))
+
+
+def test_batch_builds_instances_of_the_calling_class():
+    class Sub(MarkStream):
+        __slots__ = ()
+
+    streams = Sub.batch(3, [4, 1])
+    assert all(type(s) is Sub for s in streams)
+    assert streams[0].uniform() == MarkStream(3, 4).uniform()
