@@ -488,6 +488,12 @@ def _probe_basis(grid: TimeGrid, K: int) -> list[dev.TestFunction]:
     return fam  # 10 directions
 
 
+def _duality_residual(forms: dev._Functionals, psi: dev.TestFunction, phi: dev.TestFunction) -> float:
+    """|Upsilon_mu(phi) - [psi, phi]| / (1 + |[psi, phi]|) for mu = mu^psi."""
+    ip = forms.inner(psi, phi)
+    return abs(forms.upsilon(phi) - ip) / (1.0 + abs(ip))
+
+
 def _run_mdp_rate(cfg: ExperimentConfig) -> ResultBundle:
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
     spec = cfg.params.get("eta", {"family": "linear", "scale": 1.0})
@@ -536,12 +542,10 @@ def _run_mdp_field(cfg: ExperimentConfig) -> ResultBundle:
     proj = mu.values @ states
     basis = dev.default_basis(mean.grid, K)
     i_est, _ = dev.rate_field(mu, basis, mean, cfg.kernel, cfg.rate)
-    probes = _probe_basis(mean.grid, K)
-    resid = max(
-        abs(dev.upsilon(mu, phi, mean, cfg.kernel, cfg.rate) - dev.inner(psi, phi, mean, K))
-        / (1.0 + abs(dev.inner(psi, phi, mean, K)))
-        for phi in probes
-    )
+    # the directions of _probe_basis: all but 1_{x >= 6} are members of basis
+    probes = basis + [dev.TestFunction.indicator_geq(mean.grid, K, 6)]
+    forms = dev._Functionals(mean, K, mu, cfg.kernel, cfg.rate)
+    resid = max(_duality_residual(forms, psi, phi) for phi in probes)
     art = {
         "mu_projection.csv": _csv("t,mu_ell", zip(mean.grid.points.tolist(), proj.tolist())),
         "mu_field.csv": mu.to_csv().encode(),
@@ -550,7 +554,7 @@ def _run_mdp_field(cfg: ExperimentConfig) -> ResultBundle:
         "provenance": _provenance(cfg),
         "K": K,
         "rate_estimate": i_est,
-        "half_inner_psi_psi": 0.5 * dev.inner(psi, psi, mean, K),
+        "half_inner_psi_psi": 0.5 * forms.inner(psi, psi),
         "max_duality_residual": resid,
         "final_projection": float(proj[-1]),
     }
@@ -573,12 +577,11 @@ def _run_mdp_duality(cfg: ExperimentConfig) -> ResultBundle:
     all_ok = True
     for name, psi in psis.items():
         mu = dev.linearized_from_test_function(psi, mean, cfg.kernel, cfg.rate)
+        forms = dev._Functionals(mean, K, mu, cfg.kernel, cfg.rate)
         worst = 0.0
         for phi in probes:
-            ip = dev.inner(psi, phi, mean, K)
-            resid = abs(dev.upsilon(mu, phi, mean, cfg.kernel, cfg.rate) - ip) / (1.0 + abs(ip))
-            worst = max(worst, resid)
-        half_norm = 0.5 * dev.inner(psi, psi, mean, K)
+            worst = max(worst, _duality_residual(forms, psi, phi))
+        half_norm = 0.5 * forms.inner(psi, psi)
         basis = probes if any(np.array_equal(psi.values, p.values) for p in probes) else probes + [psi]
         i_est, _ = dev.rate_field(mu, basis, mean, cfg.kernel, cfg.rate)
         rel = abs(i_est - half_norm) / half_norm if half_norm > 0 else 0.0

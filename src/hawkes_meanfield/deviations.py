@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,62 +61,35 @@ class TestFunction:
 
     ``grad[k, x] = values[k, x+1] - values[k, x]`` with the boundary column
     grad[:, K] set to zero (one-sided zero extension of the gradient at the
-    truncation edge, flagged by ``boundary_zeroed``); ``time_deriv`` carries
-    d/dt phi for callers that need it (the quadratures in this module pair
-    value differences instead, see the module docstring).
+    truncation edge, flagged by ``boundary_zeroed``).  No time derivative is
+    kept: the quadratures in this module pair value differences instead (see
+    the module docstring).
     """
 
     grid: TimeGrid
     K: int
     values: np.ndarray
-    time_deriv: np.ndarray
     grad: np.ndarray
     boundary_zeroed: bool = True
 
-    @staticmethod
-    def _finalize(grid, K, values, time_deriv) -> "TestFunction":
-        grad = np.zeros_like(values)
-        grad[:, :-1] = values[:, 1:] - values[:, :-1]
-        for a in (values, time_deriv, grad):
-            a.flags.writeable = False
-        return TestFunction(grid=grid, K=K, values=values, time_deriv=time_deriv, grad=grad)
-
     @classmethod
-    def from_values(cls, grid: TimeGrid, K: int, values, time_deriv=None) -> "TestFunction":
+    def from_values(cls, grid: TimeGrid, K: int, values) -> "TestFunction":
         v = np.array(values, dtype=float)
         if v.shape != (grid.n + 1, K + 1):
             raise ValueError(f"values must be (n+1) x (K+1) = {(grid.n + 1, K + 1)}, got {v.shape}")
-        if time_deriv is None:
-            td = np.gradient(v, grid.dt, axis=0) if grid.n else np.zeros_like(v)
-        else:
-            td = np.array(time_deriv, dtype=float)
-            if td.shape != v.shape:
-                raise ValueError("time_deriv shape must match values")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(td))):
+        if not np.all(np.isfinite(v)):
             raise ValueError("test function values must be finite")
-        return cls._finalize(grid, K, v, td)
-
-    @classmethod
-    def from_callable(
-        cls,
-        grid: TimeGrid,
-        K: int,
-        f: Callable[[float, int], float],
-        dfdt: Callable[[float, int], float] | None = None,
-    ) -> "TestFunction":
-        ts = grid.points
-        xs = np.arange(K + 1)
-        v = np.array([[f(t, int(x)) for x in xs] for t in ts], dtype=float)
-        td = None
-        if dfdt is not None:
-            td = np.array([[dfdt(t, int(x)) for x in xs] for t in ts], dtype=float)
-        return cls.from_values(grid, K, v, td)
+        grad = np.zeros_like(v)
+        grad[:, :-1] = v[:, 1:] - v[:, :-1]
+        v.flags.writeable = False
+        grad.flags.writeable = False
+        return cls(grid=grid, K=K, values=v, grad=grad)
 
     @classmethod
     def identity(cls, grid: TimeGrid, K: int) -> "TestFunction":
         """ell(x) = x, the mean-process direction."""
         v = np.tile(np.arange(K + 1, dtype=float), (grid.n + 1, 1))
-        return cls.from_values(grid, K, v, np.zeros_like(v))
+        return cls.from_values(grid, K, v)
 
     @classmethod
     def indicator_geq(cls, grid: TimeGrid, K: int, x0: int) -> "TestFunction":
@@ -124,16 +97,14 @@ class TestFunction:
         if not 0 <= x0 <= K:
             raise ValueError(f"indicator threshold must lie in [0, {K}], got {x0}")
         v = np.tile((np.arange(K + 1) >= x0).astype(float), (grid.n + 1, 1))
-        return cls.from_values(grid, K, v, np.zeros_like(v))
+        return cls.from_values(grid, K, v)
 
     @classmethod
     def monomial(cls, grid: TimeGrid, K: int, p: int, q: int) -> "TestFunction":
-        """t^p x^q with its exact time derivative."""
+        """t^p x^q."""
         ts = grid.points[:, None]
         xs = np.arange(K + 1, dtype=float)[None, :]
-        v = ts**p * xs**q
-        td = (p * ts ** (p - 1) if p else np.zeros_like(ts)) * xs**q
-        return cls.from_values(grid, K, v, np.broadcast_to(td, v.shape).copy())
+        return cls.from_values(grid, K, ts**p * xs**q)
 
 
 @dataclass(frozen=True)
@@ -219,14 +190,59 @@ def rate_mean(
     return 0.5 * float(np.sum(dt * num * num / lam))
 
 
+class _Functionals:
+    """The work that [., .] and Upsilon_mu share across test functions.
+
+    Built once per (mean, K) and, for Upsilon, per field mu: the limit law
+    path, the dt * lam weights and, with mu, the excitation response of
+    <mu, ell> times dt * phi'(c).  ``inner`` and ``upsilon`` then cost one
+    contraction per call instead of a law path (and an O(n^2) convolution)
+    per call.  The contractions stay one einsum per pair: stacking a basis
+    into one contraction changes the summation order, and with it the last
+    bits of every rate and residual.
+    """
+
+    def __init__(
+        self,
+        mean: MeanPath,
+        K: int,
+        mu: FieldPath | None = None,
+        kernel: Kernel | None = None,
+        rate: RateFn | None = None,
+    ):
+        if mu is not None:
+            _check_match(mu.grid, mean.grid, mu.K, K)
+        self.mean, self.K, self.mu = mean, K, mu
+        n, dt = mean.grid.n, mean.grid.dt
+        self.law = limit_law_path(mean, K)[:n]
+        self.w = dt * mean.lam[:n]
+        if mu is not None:
+            states = np.arange(K + 1, dtype=float)
+            conv = _excitation_left(kernel, mu.grid, mu.values @ states)[:n]
+            phid = np.atleast_1d(rate.deriv(mean.excitation))[:n]
+            self.w_feedback = dt * phid * conv
+
+    def inner(self, f: TestFunction, g: TestFunction) -> float:
+        _check_match(f.grid, g.grid, f.K, g.K)
+        _check_match(f.grid, self.mean.grid, f.K, self.K)
+        n = self.mean.grid.n
+        return float(np.einsum("k,kx,kx,kx->", self.w, self.law, f.grad[:n], g.grad[:n]))
+
+    def upsilon(self, phi: TestFunction) -> float:
+        mu = self.mu
+        _check_match(mu.grid, phi.grid, mu.K, phi.K)
+        n = mu.grid.n
+        v = mu.values
+        term1 = float(v[n] @ phi.values[n])
+        term2 = float(np.einsum("kx,kx->", v[1:], phi.values[1:] - phi.values[:-1])) if n else 0.0
+        term3 = float(np.einsum("k,kx,kx->", self.w, v[:n], phi.grad[:n]))
+        term4 = float(np.einsum("k,kx,kx->", self.w_feedback, self.law, phi.grad[:n]))
+        return term1 - term2 - term3 - term4
+
+
 def inner(f: TestFunction, g: TestFunction, mean: MeanPath, K: int) -> float:
     """Excitation-weighted scalar product [f, g] on the truncated lattice."""
-    _check_match(f.grid, g.grid, f.K, g.K)
-    _check_match(f.grid, mean.grid, f.K, K)
-    n, dt = mean.grid.n, mean.grid.dt
-    law = limit_law_path(mean, K)
-    w = dt * mean.lam[:n]
-    return float(np.einsum("k,kx,kx,kx->", w, law[:n], f.grad[:n], g.grad[:n]))
+    return _Functionals(mean, K).inner(f, g)
 
 
 def upsilon(
@@ -234,28 +250,15 @@ def upsilon(
 ) -> float:
     """Linear functional Upsilon_mu(phi): terminal pairing minus the transport,
     gradient-drift, and excitation-feedback integrals."""
-    _check_match(mu.grid, phi.grid, mu.K, phi.K)
-    _check_match(mu.grid, mean.grid, mu.K, phi.K)
-    n, dt = mu.grid.n, mu.grid.dt
-    v = mu.values
-    law = limit_law_path(mean, K=mu.K)
-    term1 = float(v[n] @ phi.values[n])
-    term2 = float(np.einsum("kx,kx->", v[1:], phi.values[1:] - phi.values[:-1])) if n else 0.0
-    lam = mean.lam[:n]
-    term3 = float(np.einsum("k,kx,kx->", dt * lam, v[:n], phi.grad[:n]))
-    states = np.arange(mu.K + 1, dtype=float)
-    mproj = v @ states
-    conv = _excitation_left(kernel, mu.grid, mproj)[:n]
-    phid = np.atleast_1d(rate.deriv(mean.excitation))[:n]
-    term4 = float(np.einsum("k,kx,kx->", dt * phid * conv, law[:n], phi.grad[:n]))
-    return term1 - term2 - term3 - term4
+    return _Functionals(mean, mu.K, mu, kernel, rate).upsilon(phi)
 
 
 def j_functional(
     mu: FieldPath, phi: TestFunction, mean: MeanPath, kernel: Kernel, rate: RateFn
 ) -> float:
     """Quadratic-corrected functional J_mu(phi) = Upsilon_mu(phi) - [phi, phi] / 2."""
-    return upsilon(mu, phi, mean, kernel, rate) - 0.5 * inner(phi, phi, mean, mu.K)
+    forms = _Functionals(mean, mu.K, mu, kernel, rate)
+    return forms.upsilon(phi) - 0.5 * forms.inner(phi, phi)
 
 
 def solve_linearized(
@@ -284,31 +287,37 @@ def solve_linearized(
         raise ValueError(f"source must be (n+1) x (K+1) = {(n + 1, K + 1)}, got {gv.shape}")
     if not np.all(np.isfinite(gv)):
         raise ValueError("source values must be finite")
-    law = limit_law_path(mean, K)
+    law = limit_law_path(mean, K)[:n]
     h0 = float(kernel.eval(0.0))
     hp = np.atleast_1d(kernel.deriv(grid.points))
     phid = np.atleast_1d(rate.deriv(mean.excitation))
     lam = mean.lam
     states = np.arange(K + 1, dtype=float)
 
+    def ladder(a: np.ndarray) -> np.ndarray:
+        """a(x-1) - a(x) along each row, with a(-1) = 0."""
+        shifted = np.zeros_like(a)
+        shifted[:, 1:] = a[:, :-1]
+        return shifted - a
+
+    # everything that does not depend on the solution, for all steps at once
+    dlaw = ladder(law)
+    grow = gv[:n] * law
+    source = lam[:n, None] * ladder(grow)
+
     values = np.zeros((n + 1, K + 1))
     defect = np.zeros(n + 1)
     mproj = np.zeros(n + 1)
     x = np.zeros(K + 1)
+    shift_x = np.zeros(K + 1)
     for k in range(n):
         conv = h0 * mproj[k] + dt * float(np.dot(hp[k:0:-1], mproj[:k]))
-        shift_x = np.concatenate([[0.0], x[:-1]])
-        lrow = law[k]
-        shift_l = np.concatenate([[0.0], lrow[:-1]])
-        grow = gv[k] * lrow
-        shift_g = np.concatenate([[0.0], grow[:-1]])
-        x = x + dt * (
-            lam[k] * (shift_x - x) + phid[k] * conv * (shift_l - lrow) + lam[k] * (shift_g - grow)
-        )
+        shift_x[1:] = x[:-1]
+        x = x + dt * (lam[k] * (shift_x - x) + phid[k] * conv * dlaw[k] + source[k])
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"linearized solve diverged at step {k}")
         defect[k + 1] = defect[k] + dt * (
-            lam[k] * values[k, K] + phid[k] * conv * lrow[K] + lam[k] * grow[K]
+            lam[k] * values[k, K] + phid[k] * conv * law[k, K] + lam[k] * grow[k, K]
         )
         values[k + 1] = x
         mproj[k + 1] = float(states @ x)
@@ -341,11 +350,12 @@ def rate_field(
     if len(basis) < 1:
         raise ValueError("rate_field needs a nonempty basis")
     d = len(basis)
+    forms = _Functionals(mean, mu.K, mu, kernel, rate)
     G = np.empty((d, d))
     for i in range(d):
         for j in range(i, d):
-            G[i, j] = G[j, i] = inner(basis[i], basis[j], mean, mu.K)
-    b = np.array([upsilon(mu, phi, mean, kernel, rate) for phi in basis])
+            G[i, j] = G[j, i] = forms.inner(basis[i], basis[j])
+    b = np.array([forms.upsilon(phi) for phi in basis])
     ridge = ridge_scale * float(np.trace(G)) / d
     A = G + ridge * np.eye(d)
     try:

@@ -495,6 +495,5 @@ def event_log_from_bytes(buf: bytes, kind: str = "hawkes") -> EventLog:
 def event_log_to_csv(log: EventLog) -> str:
     lines = ["particle,jump_time"]
     for i, j in enumerate(log.jumps):
-        for t in j:
-            lines.append(f"{i},{t!r}")
+        lines.extend([f"{i},{t!r}" for t in j.tolist()])
     return "\n".join(lines) + "\n"

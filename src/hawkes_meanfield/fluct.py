@@ -73,14 +73,13 @@ class FieldPath:
         return self.values @ np.asarray(weights, dtype=float)
 
     def to_csv(self) -> str:
-        """Long-format export, one row per (grid time, state)."""
-        ts = self.grid.points
-        lines = ["t,x,value"]
-        for k in range(self.values.shape[0]):
-            t = ts[k]
-            for x in range(self.K + 1):
-                lines.append(f"{t!r},{x},{self.values[k, x]!r}")
-        return "\n".join(lines) + "\n"
+        """Long-format export, one row per (grid time, state), floats as plain ``repr``."""
+        states = [f",{x}," for x in range(self.K + 1)]
+        chunks = ["t,x,value\n"]
+        for t, row in zip(self.grid.points.tolist(), self.values.tolist()):
+            t_repr = repr(t)
+            chunks.append("".join([f"{t_repr}{s}{v!r}\n" for s, v in zip(states, row)]))
+        return "".join(chunks)
 
 
 @dataclass(frozen=True)

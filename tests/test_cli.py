@@ -2,10 +2,13 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from hawkes_meanfield import cli
+from hawkes_meanfield import deviations as dev
 from hawkes_meanfield.engine import event_log_from_bytes
+from hawkes_meanfield.meanfield import solve_mean
 
 
 EXPLIN = {
@@ -111,6 +114,7 @@ def test_simulate_artifacts_round_trip(tmp_path):
     csv = open(os.path.join(out, "events.csv")).read().strip().split("\n")
     assert csv[0] == "particle,jump_time"
     assert len(csv) == 1 + log.total_jumps
+    assert [float(row.split(",")[1]) for row in csv[1:]] == np.concatenate(log.jumps).tolist()
     s = _summary(out)
     assert s["total_jumps"] == log.total_jumps
 
@@ -238,10 +242,37 @@ def test_mdp_field_and_duality(tmp_path):
     field_rows = open(os.path.join(out, "mu_field.csv")).read().strip().split("\n")
     assert field_rows[0] == "t,x,value"
     assert len(field_rows) == 1 + 401 * 31
+    # every field parses as a plain number, and the values are mu's, bit for bit
+    table = np.array([[float(v) for v in row.split(",")] for row in field_rows[1:]])
+    config = cli.load_config(path, "mdp-field")
+    mean = solve_mean(config.kernel, config.rate, config.T, config.dt)
+    psi = dev.TestFunction.identity(mean.grid, 30)
+    mu = dev.linearized_from_test_function(psi, mean, config.kernel, config.rate)
+    assert table[:, 0].tolist() == np.repeat(mean.grid.points, 31).tolist()
+    assert table[:, 1].tolist() == np.tile(np.arange(31.0), 401).tolist()
+    assert table[:, 2].tolist() == mu.values.ravel().tolist()
     out2 = str(tmp_path / "dual")
     rc = cli.main(["mdp-duality", "--config", path, "--output", out2])
     assert rc == 0
     assert _summary(out2)["pass"] is True
+
+
+# float.hex of the mdp-field summary at dt = 0.0025, recorded before the Galerkin
+# functionals shared their law and convolution
+MDP_FIELD_HEX = {
+    "max_duality_residual": "0x1.6af3657f665ecp-49",
+    "half_inner_psi_psi": "0x1.5df414fc66cb4p-1",
+    "rate_estimate": "0x1.5df414fba62f5p-1",
+}
+
+
+def test_mdp_field_summary_golden_bits(tmp_path):
+    cfg = dict(EXPLIN)
+    cfg["dt"] = 0.0025
+    out = str(tmp_path / "field")
+    assert cli.main(["mdp-field", "--config", _write(tmp_path, cfg), "--output", out]) == 0
+    s = _summary(out)
+    assert {key: float(s[key]).hex() for key in MDP_FIELD_HEX} == MDP_FIELD_HEX
 
 
 def test_field_clt_check_runs(tmp_path):

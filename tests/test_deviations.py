@@ -1,10 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawkes_meanfield.model import Kernel, RateFn
-from hawkes_meanfield.meanfield import TimeGrid, solve_mean
+from hawkes_meanfield.meanfield import TimeGrid, limit_law_path, solve_mean
 from hawkes_meanfield.fluct import FieldPath
 from hawkes_meanfield import deviations as dev
 
@@ -251,3 +254,124 @@ def test_mismatched_grids_rejected(homog):
         dev.upsilon(mu, phi, mean, kernel, rate)
     with pytest.raises(ValueError):
         dev.inner(phi, dev.TestFunction.identity(other, K), mean, K)
+
+
+# --- pinned values: recorded before the functionals shared their law and convolution -
+
+TAB_KERNEL = Kernel.tabulated((0.0, 0.25, 0.5, 1.0), (1.0, 0.7, 0.4, 0.0))
+
+RATE_FIELD_HEX = "0x1.a35d3272ecbdfp+1"
+RATE_FIELD_COEF_HEX = [
+    "-0x1.3a6f60e4a8468p+1",
+    "0x1.88a5129c44d9cp+0",
+    "0x1.704929d5ef76fp-1",
+    "0x1.54524e2eed0d0p-2",
+    "0x1.1ab1466cec8fbp-3",
+    "0x1.5684266621e03p-5",
+    "-0x1.0b9f0874cdc28p-1",
+    "0x1.ea7c3804de73cp-1",
+    "0x1.2fd6d0bde5a83p+1",
+]
+
+# SHA-256 of (values, mass_defect) bytes of solve_linearized on a default_rng(7) source
+LINEARIZED_SHA256 = {
+    "exp": (
+        "9859cba0db6bbbc436b1f31d9403831eeaa849dde7ebba247341aaee4aa91938",
+        "4d0f2308a1f9403bd3de7de0d97c7fbc9adae8012371a1ef160219362ab2391f",
+    ),
+    "tab": (
+        "ccfd9d1fded8c91a942901b8f793e1266afad2c0faf7f253e5346dd4ecd8d0ae",
+        "a47d7c715600fa5a5db974909df8b1aaa0ae560a530b62bf9acd746745a61b36",
+    ),
+}
+
+
+def test_rate_field_golden_bits(explin):
+    # t x^2 lies outside the default span, so every coefficient is exercised
+    kernel, rate, mean = explin
+    psi = dev.TestFunction.monomial(mean.grid, K, 1, 2)
+    mu = dev.linearized_from_test_function(psi, mean, kernel, rate)
+    val, coef = dev.rate_field(mu, dev.default_basis(mean.grid, K), mean, kernel, rate)
+    assert val.hex() == RATE_FIELD_HEX
+    assert [float(c).hex() for c in coef] == RATE_FIELD_COEF_HEX
+
+
+@pytest.mark.parametrize("kind", ["exp", "tab"])
+def test_solve_linearized_golden_bytes(kind):
+    kernel = Kernel.exponential(1.0, 2.0) if kind == "exp" else TAB_KERNEL
+    rate = RateFn.affine(1.0, 1.0)
+    mean = solve_mean(kernel, rate, 1.0, 1.0 / 400)
+    g = np.random.default_rng(7).normal(size=(mean.grid.n + 1, K + 1))
+    mu = dev.solve_linearized(g, mean, kernel, rate, K)
+    got = (
+        hashlib.sha256(mu.values.tobytes()).hexdigest(),
+        hashlib.sha256(mu.mass_defect.tobytes()).hexdigest(),
+    )
+    assert got == LINEARIZED_SHA256[kind]
+
+
+def test_solve_linearized_divergence_names_the_step(explin):
+    kernel, rate, mean = explin
+    g = np.zeros((mean.grid.n + 1, K + 1))
+    # finite, but lam_5 (> 1) times its ladder difference overflows
+    g[5] = np.finfo(float).max * (-1.0) ** np.arange(K + 1)
+    with pytest.raises(FloatingPointError, match="at step 5$"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev.solve_linearized(g, mean, kernel, rate, K)
+
+
+# --- shared functionals against the per-call evaluation they replace ----------------
+
+def _inner_reference(f, g, mean, K):
+    n, dt = mean.grid.n, mean.grid.dt
+    law = limit_law_path(mean, K)
+    w = dt * mean.lam[:n]
+    return float(np.einsum("k,kx,kx,kx->", w, law[:n], f.grad[:n], g.grad[:n]))
+
+
+def _upsilon_reference(mu, phi, mean, kernel, rate):
+    n, dt = mu.grid.n, mu.grid.dt
+    v = mu.values
+    law = limit_law_path(mean, K=mu.K)
+    term1 = float(v[n] @ phi.values[n])
+    term2 = float(np.einsum("kx,kx->", v[1:], phi.values[1:] - phi.values[:-1])) if n else 0.0
+    lam = mean.lam[:n]
+    term3 = float(np.einsum("k,kx,kx->", dt * lam, v[:n], phi.grad[:n]))
+    mproj = v @ np.arange(mu.K + 1, dtype=float)
+    conv = dev._excitation_left(kernel, mu.grid, mproj)[:n]
+    phid = np.atleast_1d(rate.deriv(mean.excitation))[:n]
+    term4 = float(np.einsum("k,kx,kx->", dt * phid * conv, law[:n], phi.grad[:n]))
+    return term1 - term2 - term3 - term4
+
+
+SMALL_K = 8
+SMALL_RATE = RateFn.affine(1.0, 0.7)  # phi' = 0.7, so no product with it is exact by luck
+SMALL_MEANS = {
+    kind: (kernel, SMALL_RATE, solve_mean(kernel, SMALL_RATE, 1.0, 1.0 / 40))
+    for kind, kernel in (("exp", Kernel.exponential(1.0, 2.0)), ("tab", TAB_KERNEL))
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SMALL_MEANS)),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 5),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_shared_functionals_match_per_call_evaluation(kind, seed, count, scale):
+    kernel, rate, mean = SMALL_MEANS[kind]
+    rng = np.random.default_rng(seed)
+    shape = (mean.grid.n + 1, SMALL_K + 1)
+    fns = [dev.TestFunction.from_values(mean.grid, SMALL_K, scale * rng.normal(size=shape)) for _ in range(count)]
+    mu = dev.solve_linearized(rng.normal(size=shape), mean, kernel, rate, SMALL_K)
+    forms = dev._Functionals(mean, SMALL_K, mu, kernel, rate)
+    for f in fns:
+        ups = _upsilon_reference(mu, f, mean, kernel, rate)
+        assert forms.upsilon(f) == ups
+        assert dev.upsilon(mu, f, mean, kernel, rate) == ups
+        for g in fns:
+            ip = _inner_reference(f, g, mean, SMALL_K)
+            assert forms.inner(f, g) == ip
+            assert dev.inner(f, g, mean, SMALL_K) == ip
+        assert dev.j_functional(mu, f, mean, kernel, rate) == ups - 0.5 * _inner_reference(f, f, mean, SMALL_K)

@@ -223,6 +223,13 @@ def test_csv_format(zero_kernel, const2_rate):
     lines = text.strip().split("\n")
     assert lines[0] == "particle,jump_time"
     assert len(lines) == 1 + log.total_jumps
+    # every field parses as a plain number and the times are the binary record's, bit for bit
+    rows = [line.split(",") for line in lines[1:]]
+    particles = [int(p) for p, _ in rows]
+    times = [float(t) for _, t in rows]
+    stored = event_log_from_bytes(event_log_to_bytes(log))
+    assert particles == [i for i, j in enumerate(stored.jumps) for _ in range(j.size)]
+    assert times == np.concatenate(stored.jumps).tolist()
 
 
 # --- vectorized post-processing against per-particle references -------------------
