@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fluct import FieldPath
+from .fluct import FieldPath, _ladder
 from .meanfield import MeanPath, TimeGrid, limit_law_path
 from .model import Kernel, RateFn
 
@@ -294,16 +294,10 @@ def solve_linearized(
     lam = mean.lam
     states = np.arange(K + 1, dtype=float)
 
-    def ladder(a: np.ndarray) -> np.ndarray:
-        """a(x-1) - a(x) along each row, with a(-1) = 0."""
-        shifted = np.zeros_like(a)
-        shifted[:, 1:] = a[:, :-1]
-        return shifted - a
-
     # everything that does not depend on the solution, for all steps at once
-    dlaw = ladder(law)
+    dlaw = _ladder(law)
     grow = gv[:n] * law
-    source = lam[:n, None] * ladder(grow)
+    source = lam[:n, None] * _ladder(grow)
 
     values = np.zeros((n + 1, K + 1))
     defect = np.zeros(n + 1)

@@ -20,6 +20,14 @@ Each particle consumes its own counter-based stream, which is what makes the
 shared-randomness coupling and the tilted variant well defined: the same
 (seed, particle) pair replays the same candidate points and acceptance marks
 under every mode.
+
+The limit intensity of the Poisson comparison system feeds nothing back into
+the walk, so the coupled mode records every candidate (time, mark times the
+dominating rate, particle, dominating rate) and accepts the Poisson log in one
+vectorized pass after the walk.  The bound checks therefore run in this
+order: the interacting intensity against the dominating rate at each
+candidate during the walk, then the limit intensity at every candidate after
+it, where the first violating candidate raises ``SimulationError``.
 """
 
 from __future__ import annotations
@@ -98,13 +106,18 @@ def _flat_jumps(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
     return times, np.repeat(np.arange(log.N), sizes)
 
 
-def _freeze_jumps(jumps: list[list[float]]) -> tuple[np.ndarray, ...]:
-    out = []
-    for j in jumps:
-        a = np.asarray(j, dtype=float)
-        a.flags.writeable = False
-        out.append(a)
-    return tuple(out)
+def _freeze_jumps(times, owner, N: int) -> tuple[np.ndarray, ...]:
+    """Per-particle read-only views of one array of jump times.
+
+    ``times`` and ``owner`` list the jumps in the order of the walk, which is
+    time order, so a stable sort by particle keeps each particle's times sorted.
+    """
+    owner = np.asarray(owner, dtype=np.int64)
+    order = np.argsort(owner, kind="stable")
+    flat = np.asarray(times, dtype=float)[order]
+    flat.flags.writeable = False
+    ends = np.cumsum(np.bincount(owner, minlength=N)).tolist()
+    return tuple(flat[a:b] for a, b in zip([0] + ends[:-1], ends))
 
 
 class _ZeroCache:
@@ -145,20 +158,23 @@ class _ExpCache:
 
 
 class _GenericCache:
-    # fallback: exact Stieltjes sum over all recorded jumps, O(#jumps) per call
+    # tabulated kernel: exact Stieltjes sum over all recorded jumps, O(#jumps) per call
     def __init__(self, kernel: Kernel, N: int):
-        self.kernel = kernel
+        self.grid = kernel.grid
+        self.values = kernel.values
         self.inv_n = 1.0 / N
-        self.times: list[float] = []
+        self.times = np.empty(256)
+        self.n = 0
 
     def add(self, t: float) -> None:
-        self.times.append(t)
+        if self.n == self.times.size:
+            self.times = np.concatenate([self.times, np.empty(self.n)])
+        self.times[self.n] = t
+        self.n += 1
 
     def value(self, t: float) -> float:
-        if not self.times:
-            return 0.0
-        lags = t - np.asarray(self.times)
-        return float(np.sum(self.kernel.eval(lags))) * self.inv_n
+        lags = t - self.times[: self.n]
+        return float(np.interp(lags, self.grid, self.values).sum()) * self.inv_n
 
 
 def _make_cache(kernel: Kernel, N: int):
@@ -181,24 +197,18 @@ def _scalar_rate(rate: RateFn):
     return lambda x: float(np.interp(x, grid, values))
 
 
-def _lambda_interp(mean: MeanPath):
-    """O(1) linear interpolation of the limit intensity on its uniform grid."""
+def _limit_intensity(mean: MeanPath, t: np.ndarray) -> np.ndarray:
+    """Limit intensity at times ``t`` by linear interpolation on its uniform grid."""
     lam = mean.lam
     n = mean.grid.n
     if n == 0:
-        lam0 = float(lam[0])
-        return lambda t: lam0
-    dt = mean.grid.dt
-
-    def at(t: float) -> float:
-        pos = t / dt
-        k = int(pos)
-        if k >= n:
-            return float(lam[n])
-        frac = pos - k
-        return float(lam[k]) + frac * (float(lam[k + 1]) - float(lam[k]))
-
-    return at
+        return np.full_like(t, lam[0])
+    pos = t / mean.grid.dt
+    k = pos.astype(np.int64)
+    frac = pos - k
+    kc = np.minimum(k, n - 1)
+    lo = lam[kc]
+    return np.where(k >= n, lam[n], lo + frac * (lam[kc + 1] - lo))
 
 
 def _bound_violation(what: str, lam: float, lam_bar: float, t: float) -> str:
@@ -220,27 +230,28 @@ def _run_thinning(
     psi_grid: TimeGrid | None = None,
     tilt: float = 0.0,
     stream_indices: Sequence[int] | None = None,
-):
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...] | None]:
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     if not T > 0:
         raise ValueError(f"need T > 0, got {T}")
     phi = _scalar_rate(rate)
     phi0 = float(rate.eval(0.0))
-    alpha = rate.lipschitz
     h_sup, _ = kernel_norms(kernel, T, T / 1000.0)
+    # each accepted jump raises the dominating rate by alpha * ||h||_sup / N
+    rise = rate.lipschitz * h_sup
     cache = _make_cache(kernel, N)
+    coupled = mode == "coupled"
+    tilted = mode == "perturbed"
 
-    mf_at = None
     mf_bound = 0.0
-    if mode == "coupled":
+    if coupled:
         if mean is None or mean.grid.T < T - 1e-12:
             raise SimulationError("coupled simulation needs a mean path solved on [0, T]")
-        mf_at = _lambda_interp(mean)
         mf_bound = float(np.max(mean.lam))
 
     tilt_bound = 1.0
-    if mode == "perturbed":
+    if tilted:
         n_psi = psi_grid.n
         dt_psi = psi_grid.dt
         k_states = grad_psi.shape[1] - 1
@@ -257,6 +268,16 @@ def _run_thinning(
             g0 = float(grad_psi[k, x])
             return g0 + frac * (float(grad_psi[k + 1, x]) - g0)
 
+    def bound(total: int) -> float:
+        lb = phi0 + rise * (total / N)
+        if coupled:
+            lb = max(lb, mf_bound)
+        elif tilted:
+            lb *= tilt_bound
+        if not (lb < _RATE_CEILING):
+            raise SimulationError(f"dominating rate {lb:.3e} overflows; model is pathological")
+        return lb
+
     if stream_indices is None:
         stream_indices = range(N)
     elif len(stream_indices) != N:
@@ -264,61 +285,76 @@ def _run_thinning(
     streams = MarkStream.batch(seed, stream_indices)
     heap = [(streams[i].exponential(), i) for i in range(N)]
     heapq.heapify(heap)
+    replace = heapq.heapreplace
+    value = cache.value
+    add = cache.add
 
-    jumps: list[list[float]] = [[] for _ in range(N)]
-    jumps_mf: list[list[float]] = [[] for _ in range(N)] if mode == "coupled" else []
+    # accepted jumps as (time, particle), in walk order
+    jump_t: list[float] = []
+    jump_i: list[int] = []
+    # coupled mode: (time, mark * lbar, particle, lbar) of every candidate
+    cand_t: list[float] = []
+    cand_zl: list[float] = []
+    cand_i: list[int] = []
+    cand_bar: list[float] = []
+    jump_t_add, jump_i_add = jump_t.append, jump_i.append
+    cand_t_add, cand_zl_add = cand_t.append, cand_zl.append
+    cand_i_add, cand_bar_add = cand_i.append, cand_bar.append
     counts = [0] * N
     total = 0
 
-    def bound() -> float:
-        lb = phi0 + alpha * h_sup * (total / N)
-        if mode == "coupled":
-            lb = max(lb, mf_bound)
-        elif mode == "perturbed":
-            lb *= tilt_bound
-        if not (lb < _RATE_CEILING):
-            raise SimulationError(f"dominating rate {lb:.3e} overflows; model is pathological")
-        return lb
-
     t = 0.0
     q_ref = 0.0
-    lam_bar = bound()
-    push = heapq.heappush
-    pop = heapq.heappop
+    lam_bar = bound(total)
+    slack = lam_bar * (1.0 + 1e-9)
 
     while True:
-        q, i = pop(heap)
+        q, i = heap[0]
         t_cand = t + (q - q_ref) / lam_bar
         if t_cand > T:
             break
-        z = streams[i].uniform()
-        zl = z * lam_bar
-        if mode == "hawkes":
-            lam = phi(cache.value(t_cand))
-        elif mode == "coupled":
-            lam = phi(cache.value(t_cand))
-            lam_mf = mf_at(t_cand)
-            if not lam_mf <= lam_bar * (1.0 + 1e-9):
-                raise SimulationError(_bound_violation("limit intensity", lam_mf, lam_bar, t_cand))
-            if zl < lam_mf:
-                jumps_mf[i].append(t_cand)
-        else:  # perturbed
-            lam = math.exp(tilt * grad_at(t_cand, counts[i])) * phi(cache.value(t_cand))
+        stream = streams[i]
+        zl = stream.uniform() * lam_bar
+        if tilted:
+            lam = math.exp(tilt * grad_at(t_cand, counts[i])) * phi(value(t_cand))
+        else:
+            lam = phi(value(t_cand))
+            if coupled:
+                cand_t_add(t_cand)
+                cand_zl_add(zl)
+                cand_i_add(i)
+                cand_bar_add(lam_bar)
         # the negated form also catches NaN; an assert would vanish under python -O
-        if not lam <= lam_bar * (1.0 + 1e-9):
+        if not lam <= slack:
             raise SimulationError(_bound_violation("intensity", lam, lam_bar, t_cand))
-        accepted = zl < lam
         t = t_cand
         q_ref = q
-        if accepted:
-            jumps[i].append(t_cand)
+        if zl < lam:
+            jump_t_add(t_cand)
+            jump_i_add(i)
             counts[i] += 1
             total += 1
-            cache.add(t_cand)
-            lam_bar = bound()
-        push(heap, (q + streams[i].exponential(), i))
+            add(t_cand)
+            lam_bar = bound(total)
+            slack = lam_bar * (1.0 + 1e-9)
+        replace(heap, (q + stream.exponential(), i))
 
-    return jumps, jumps_mf
+    jumps = _freeze_jumps(jump_t, jump_i, N)
+    if not coupled:
+        return jumps, None
+    # the limit intensity feeds nothing back into the walk: accept the Poisson
+    # log in one pass over the recorded candidates
+    ct = np.asarray(cand_t, dtype=float)
+    bars = np.asarray(cand_bar, dtype=float)
+    lam_mf = _limit_intensity(mean, ct)
+    bad = np.flatnonzero(~(lam_mf <= bars * (1.0 + 1e-9)))
+    if bad.size:
+        j = bad[0]
+        raise SimulationError(
+            _bound_violation("limit intensity", float(lam_mf[j]), float(bars[j]), float(ct[j]))
+        )
+    hit = np.asarray(cand_zl, dtype=float) < lam_mf
+    return jumps, _freeze_jumps(ct[hit], np.asarray(cand_i, dtype=np.int64)[hit], N)
 
 
 def simulate_hawkes(
@@ -338,7 +374,7 @@ def simulate_hawkes(
     keys (testing hook for the exchangeability contract).
     """
     jumps, _ = _run_thinning("hawkes", N, kernel, rate, T, seed, stream_indices=stream_indices)
-    return EventLog(N=N, T=float(T), jumps=_freeze_jumps(jumps), seed=seed, kind="hawkes")
+    return EventLog(N=N, T=float(T), jumps=jumps, seed=seed, kind="hawkes")
 
 
 def simulate_coupled(
@@ -359,8 +395,8 @@ def simulate_coupled(
     """
     jumps, jumps_mf = _run_thinning("coupled", N, kernel, rate, T, seed, mean=mean)
     return CouplingLog(
-        hawkes=EventLog(N=N, T=float(T), jumps=_freeze_jumps(jumps), seed=seed, kind="hawkes"),
-        poisson=EventLog(N=N, T=float(T), jumps=_freeze_jumps(jumps_mf), seed=seed, kind="mf_poisson"),
+        hawkes=EventLog(N=N, T=float(T), jumps=jumps, seed=seed, kind="hawkes"),
+        poisson=EventLog(N=N, T=float(T), jumps=jumps_mf, seed=seed, kind="mf_poisson"),
         seed=seed,
     )
 
@@ -392,7 +428,7 @@ def simulate_perturbed(
     jumps, _ = _run_thinning(
         "perturbed", N, kernel, rate, T, seed, grad_psi=grad, psi_grid=psi_grid, tilt=float(tilt)
     )
-    return EventLog(N=N, T=float(T), jumps=_freeze_jumps(jumps), seed=seed, kind="perturbed")
+    return EventLog(N=N, T=float(T), jumps=jumps, seed=seed, kind="perturbed")
 
 
 def mean_path(log: EventLog, grid: TimeGrid) -> np.ndarray:

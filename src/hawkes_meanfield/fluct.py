@@ -291,6 +291,13 @@ def limit_mean_variance(
     return _variance_dense(mean, kernel, rate)
 
 
+def _ladder(a: np.ndarray) -> np.ndarray:
+    """a(x-1) - a(x) along each row, with a(-1) = 0: the birth-ladder difference."""
+    shifted = np.zeros_like(a)
+    shifted[:, 1:] = a[:, :-1]
+    return shifted - a
+
+
 def simulate_limit_field(
     mean: MeanPath,
     kernel: Kernel,
@@ -309,7 +316,7 @@ def simulate_limit_field(
     grid = mean.grid
     n, dt = grid.n, grid.dt
     limit_law(mean, grid.T, K, tail_threshold)
-    law = limit_law_path(mean, K)
+    law = limit_law_path(mean, K)[:n]
     h0 = float(kernel.eval(0.0))
     hp = np.atleast_1d(kernel.deriv(grid.points))
     phid = np.atleast_1d(rate.deriv(mean.excitation))
@@ -318,23 +325,24 @@ def simulate_limit_field(
 
     xi = np.zeros((n, K + 1)) if zero_noise else MarkStream(seed, 0).normals(n * (K + 1)).reshape(n, K + 1)
 
+    # everything that does not depend on the path, for all steps at once
+    dlaw = _ladder(law)
+    s = np.sqrt(law) * xi
+    ds = _ladder(s)
+
     values = np.zeros((n + 1, K + 1))
     defect = np.zeros(n + 1)
     mproj = np.zeros(n + 1)  # <X, ell> alongside
     x = np.zeros(K + 1)
+    shift_x = np.zeros(K + 1)
     for k in range(n):
         conv = h0 * mproj[k] + dt * float(np.dot(hp[k:0:-1], mproj[:k]))
-        shift_x = np.concatenate([[0.0], x[:-1]])
-        lrow = law[k]
-        shift_l = np.concatenate([[0.0], lrow[:-1]])
-        s = np.sqrt(lrow) * xi[k]
-        shift_s = np.concatenate([[0.0], s[:-1]])
-        drift = lam[k] * (shift_x - x) + phid[k] * conv * (shift_l - lrow)
+        shift_x[1:] = x[:-1]
         root = math.sqrt(lam[k] * dt)
-        x = x + dt * drift + root * (shift_s - s)
-        if not np.all(np.isfinite(x)):
+        x = x + dt * (lam[k] * (shift_x - x) + phid[k] * conv * dlaw[k]) + root * ds[k]
+        if not np.isfinite(x).all():
             raise FloatingPointError(f"limit-field path diverged at step {k}")
-        lost = dt * (lam[k] * values[k, K] + phid[k] * conv * lrow[K]) + root * s[K]
+        lost = dt * (lam[k] * values[k, K] + phid[k] * conv * law[k, K]) + root * s[k, K]
         defect[k + 1] = defect[k] + lost
         values[k + 1] = x
         mproj[k + 1] = float(states @ x)

@@ -92,17 +92,6 @@ class MeanPath:
     lam: np.ndarray
     excitation: np.ndarray
 
-    def lambda_at(self, t: float) -> float:
-        """Intensity at an arbitrary time by linear interpolation."""
-        if self.grid.n == 0:
-            return float(self.lam[0])
-        return float(np.interp(t, self.grid.points, self.lam))
-
-    def m_at(self, t: float) -> float:
-        if self.grid.n == 0:
-            return float(self.m[0])
-        return float(np.interp(t, self.grid.points, self.m))
-
     @property
     def m_final(self) -> float:
         return float(self.m[-1])

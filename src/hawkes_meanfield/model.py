@@ -88,9 +88,6 @@ class Kernel:
         v.flags.writeable = False
         return cls("tabulated", grid=g, values=v)
 
-    def __call__(self, t):
-        return self.eval(t)
-
     def eval(self, t):
         """h(t); accepts scalars or arrays, t >= 0."""
         t = np.asarray(t, dtype=float)
@@ -166,9 +163,6 @@ class RateFn:
         if not (lipschitz >= 0.0 and math.isfinite(lipschitz)):
             raise ValidationError(f"declared Lipschitz constant must be >= 0, got {lipschitz}")
         return cls("custom", lipschitz=float(lipschitz), fn=fn, dfn=dfn)
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)

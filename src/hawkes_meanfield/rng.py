@@ -105,20 +105,23 @@ class MarkStream:
             streams.append(s)
         return streams
 
-    def _next_u64(self) -> int:
-        self.counter += 1
-        if self.counter <= self._prefetched:
-            return self._words[self._offset + self.counter]
-        return mix64((self.key + self.counter * _GOLDEN) & _MASK64)
-
     def uniform(self) -> float:
         """One uniform mark in [0, 1)."""
-        return (self._next_u64() >> 11) * _U53
+        c = self.counter = self.counter + 1
+        if c <= self._prefetched:
+            w = self._words[self._offset + c]
+        else:
+            w = mix64((self.key + c * _GOLDEN) & _MASK64)
+        return (w >> 11) * _U53
 
     def exponential(self) -> float:
         """One strictly positive unit-rate exponential inter-arrival."""
-        u = ((self._next_u64() >> 11) + 0.5) * _U53  # in (0, 1)
-        return -math.log(u)
+        c = self.counter = self.counter + 1
+        if c <= self._prefetched:
+            w = self._words[self._offset + c]
+        else:
+            w = mix64((self.key + c * _GOLDEN) & _MASK64)
+        return -math.log(((w >> 11) + 0.5) * _U53)  # argument in (0, 1)
 
     def _u64_block(self, n: int) -> np.ndarray:
         ctr = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)

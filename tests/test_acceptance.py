@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from hawkes_meanfield import cli
+from hawkes_meanfield.cli import _probe_basis
 from hawkes_meanfield import deviations as dev
 from hawkes_meanfield.engine import (
     simulate_coupled,
@@ -196,18 +197,6 @@ def test_criterion_07_mdp_rate_closed_form(homog_fine):
         f"J(t)={j_lin:.9f} (target 0.25 +- 1e-6), quadratic homogeneity to 1e-10, "
         f"non-AC gives +inf: {inf_ok}",
     )
-
-
-def _probe_basis(grid, K):
-    fam = [
-        dev.TestFunction.identity(grid, K),
-        dev.TestFunction.monomial(grid, K, 1, 1),
-        dev.TestFunction.monomial(grid, K, 0, 2),
-        dev.TestFunction.monomial(grid, K, 2, 1),
-    ]
-    for x0 in (1, 2, 3, 4, 5, 6):
-        fam.append(dev.TestFunction.indicator_geq(grid, K, x0))
-    return fam
 
 
 def test_criterion_08_mdp_duality():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from hawkes_meanfield import engine
-from hawkes_meanfield.meanfield import TimeGrid, solve_mean
+from hawkes_meanfield.meanfield import MeanPath, TimeGrid, solve_mean
 from hawkes_meanfield.model import Kernel, RateFn
 from hawkes_meanfield.engine import (
     EventLog,
@@ -327,6 +327,108 @@ def test_golden_bytes_perturbed(exp_kernel, affine_rate):
     grid = TimeGrid.from_T_dt(1.0, 0.01)
     log = simulate_perturbed(200, exp_kernel, affine_rate, 0.5 * _ell_grad(grid, 40), grid, 0.4, 1.0, seed=2027)
     assert _sha(log) == GOLDEN["perturbed"]
+
+
+# recorded before the thinning walk moved to flat jump logs, the tabulated
+# memory to a growable buffer and the Poisson log to a pass after the walk
+GOLDEN_WALK = {
+    "coupled_tab_hawkes": "6f1e208acb7ccbd55058303e6e3de54ac1c92a239f95ddc6d40af8e7c7394f71",
+    "coupled_tab_poisson": "16cabe9d3fee3ea4374aa7e850339e787513b9ee924f36a89857949ce939b267",
+    "coupled_coarse_hawkes": "80a7258dbed422dca8fecb1aaa41a926a9273bc786c3071c117809d4aa2a6b24",
+    "coupled_coarse_poisson": "b178f03a2a4ad7e0f45ad76a39b3d501c75b29dcec094cdb0d33e396a8cb1ebb",
+}
+TAB = Kernel.tabulated([0.0, 0.25, 0.5, 1.0], [1.0, 0.7, 0.4, 0.0])
+
+
+def test_golden_bytes_coupled_tabulated(affine_rate):
+    # several hundred jumps: the tabulated memory outgrows its first buffer
+    mean = solve_mean(TAB, affine_rate, 1.0, 1e-3)
+    c = simulate_coupled(400, TAB, affine_rate, mean, 1.0, seed=2028)
+    assert c.hawkes.total_jumps > 500
+    assert _sha(c.hawkes) == GOLDEN_WALK["coupled_tab_hawkes"]
+    assert _sha(c.poisson) == GOLDEN_WALK["coupled_tab_poisson"]
+
+
+def test_golden_bytes_coupled_coarse_mean(exp_kernel, affine_rate):
+    # dt = 0.1: the limit intensity is interpolated across wide grid cells
+    mean = solve_mean(exp_kernel, affine_rate, 1.0, 0.1)
+    c = simulate_coupled(300, exp_kernel, affine_rate, mean, 1.0, seed=2029)
+    assert _sha(c.hawkes) == GOLDEN_WALK["coupled_coarse_hawkes"]
+    assert _sha(c.poisson) == GOLDEN_WALK["coupled_coarse_poisson"]
+
+
+def _lambda_interp_reference(mean):
+    """The per-candidate limit intensity the walk evaluated before the post-walk pass."""
+    lam = mean.lam
+    n = mean.grid.n
+    if n == 0:
+        lam0 = float(lam[0])
+        return lambda t: lam0
+    dt = mean.grid.dt
+
+    def at(t: float) -> float:
+        pos = t / dt
+        k = int(pos)
+        if k >= n:
+            return float(lam[n])
+        frac = pos - k
+        return float(lam[k]) + frac * (float(lam[k + 1]) - float(lam[k]))
+
+    return at
+
+
+@pytest.mark.parametrize("T, dt", [(1.0, 1e-3), (1.0, 0.1), (0.7, 0.05), (0.0, 0.1)])
+def test_limit_intensity_matches_scalar_interpolation(exp_kernel, affine_rate, T, dt):
+    mean = solve_mean(exp_kernel, affine_rate, T, dt)
+    pts = mean.grid.points
+    # random times, the grid points and their left neighbours, and the
+    # horizon's right neighbours, where t / dt reaches n and k >= n holds
+    t = np.concatenate([
+        np.random.default_rng(3).uniform(0.0, T, 400),
+        pts,
+        np.nextafter(pts, -1.0),
+        [np.nextafter(T, 2.0), T * (1.0 + 1e-13)],
+    ])
+    t = t[t > 0.0]
+    ref = _lambda_interp_reference(mean)
+    got = engine._limit_intensity(mean, t)
+    assert [float.hex(v) for v in got.tolist()] == [float.hex(ref(v)) for v in t.tolist()]
+    if mean.grid.n:
+        assert np.any((t / mean.grid.dt).astype(np.int64) >= mean.grid.n)
+
+
+def test_limit_intensity_bound_checked_after_the_walk(exp_kernel, affine_rate, explin_mean):
+    # a NaN at the horizon hides the limit path from the dominating rate, so
+    # early candidates see a limit intensity above it; the first one raises,
+    # with the message the in-walk check gave (recorded before the change)
+    lam = explin_mean.lam.copy()
+    lam[-1] = np.nan
+    bad = MeanPath(explin_mean.grid, explin_mean.m, lam, explin_mean.excitation)
+    with pytest.raises(SimulationError) as err:
+        simulate_coupled(200, exp_kernel, affine_rate, bad, 1.0, seed=8)
+    assert str(err.value) == (
+        "thinning bound violated: limit intensity 1.0030044091870645 exceeds the dominating "
+        "rate 1.0 at t=0.003008940942540929 (kernel norm or Lipschitz constant under-reported?)"
+    )
+
+
+def test_returned_jump_arrays_are_read_only(exp_kernel, affine_rate, explin_mean):
+    grid = TimeGrid.from_T_dt(1.0, 0.01)
+    c = simulate_coupled(50, exp_kernel, affine_rate, explin_mean, 1.0, seed=5)
+    logs = [
+        simulate_hawkes(50, exp_kernel, affine_rate, 1.0, seed=5),
+        simulate_hawkes(50, TAB, affine_rate, 1.0, seed=5),
+        c.hawkes,
+        c.poisson,
+        simulate_perturbed(50, exp_kernel, affine_rate, _ell_grad(grid, 30), grid, 0.3, 1.0, seed=5),
+    ]
+    logs.append(event_log_from_bytes(event_log_to_bytes(logs[0])))
+    for log in logs:
+        assert len(log.jumps) == 50 and log.total_jumps > 0
+        for j in log.jumps:
+            assert not j.flags.writeable
+            with pytest.raises(ValueError):
+                j[:1] = 0.0
 
 
 def test_thinning_draws_through_the_module_stream_class(monkeypatch, exp_kernel, affine_rate):

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from hawkes_meanfield.meanfield import limit_law_path, solve_mean
+from hawkes_meanfield.model import Kernel
 from hawkes_meanfield.engine import EventLog, mean_path, simulate_coupled, simulate_hawkes
 from hawkes_meanfield.fluct import (
     GridTooFineError,
@@ -230,3 +232,30 @@ def test_estimate_moments_rng_oracle():
     z = MarkStream(53, 0).normals(10000)
     m, v, ci = estimate_moments(z)
     assert abs(m) <= 0.03 and abs(v - 1.0) <= 0.05
+
+
+# recorded before the limit-field stepper took its law ladder and noise ladder
+# out of the loop: the values and the mass defect must keep every bit
+LIMIT_FIELD_SHA256 = {
+    "exp": (
+        "14e0d1d88e3d7fcc30f7b21534acc8a22416af8d9e51af7d07f2d370c41b4fdb",
+        "22669a28d24e4a78bf364873eea08e08685bf97b0555bdbf823384ba6424cb42",
+    ),
+    "tab": (
+        "a6370007e6deee99e9528bf990eaa5656e34fb60bc28e2f8bcabec29a5b8b429",
+        "34b9ca7c20b66cfdbfabdab7dca8408d5e80a60f62916897b27a6ec0d9495799",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["exp", "tab"])
+def test_limit_field_golden_bytes(kind, exp_kernel, affine_rate):
+    tab = Kernel.tabulated((0.0, 0.25, 0.5, 1.0), (1.0, 0.7, 0.4, 0.0))
+    kernel = exp_kernel if kind == "exp" else tab
+    mean = _coarse_mean(kernel, affine_rate, n=200)
+    f = simulate_limit_field(mean, kernel, affine_rate, 30, seed=53)
+    got = (
+        hashlib.sha256(f.values.tobytes()).hexdigest(),
+        hashlib.sha256(f.mass_defect.tobytes()).hexdigest(),
+    )
+    assert got == LIMIT_FIELD_SHA256[kind]
