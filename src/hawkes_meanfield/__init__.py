@@ -4,7 +4,7 @@ processes and moderate-deviation rate functionals."""
 __version__ = "0.1.0"
 
 from .model import Kernel, RateFn, kernel_norms, validate_assumptions
-from .meanfield import TimeGrid, MeanPath, solve_mean, convolve, limit_law
+from .meanfield import TimeGrid, MeanPath, solve_mean, limit_law
 from .engine import (
     EventLog,
     CouplingLog,
@@ -12,7 +12,6 @@ from .engine import (
     simulate_coupled,
     simulate_perturbed,
     mean_path,
-    empirical_measure,
 )
 from .fluct import (
     FieldPath,
@@ -22,7 +21,6 @@ from .fluct import (
     simulate_limit_mean,
     limit_mean_variance,
     simulate_limit_field,
-    estimate_moments,
 )
 from .deviations import (
     TestFunction,
@@ -30,7 +28,6 @@ from .deviations import (
     rate_mean,
     inner,
     upsilon,
-    j_functional,
     solve_linearized,
     rate_field,
 )
@@ -38,12 +35,11 @@ from .deviations import (
 __all__ = [
     "__version__",
     "Kernel", "RateFn", "kernel_norms", "validate_assumptions",
-    "TimeGrid", "MeanPath", "solve_mean", "convolve", "limit_law",
+    "TimeGrid", "MeanPath", "solve_mean", "limit_law",
     "EventLog", "CouplingLog", "simulate_hawkes", "simulate_coupled",
-    "simulate_perturbed", "mean_path", "empirical_measure",
+    "simulate_perturbed", "mean_path",
     "FieldPath", "SpeedSequence", "centered_field", "rescaled_field",
     "simulate_limit_mean", "limit_mean_variance", "simulate_limit_field",
-    "estimate_moments",
     "TestFunction", "MeanDeviationPath", "rate_mean", "inner", "upsilon",
-    "j_functional", "solve_linearized", "rate_field",
+    "solve_linearized", "rate_field",
 ]

@@ -541,10 +541,10 @@ def _run_mdp_field(cfg: ExperimentConfig) -> ResultBundle:
     states = np.arange(K + 1, dtype=float)
     proj = mu.values @ states
     basis = dev.default_basis(mean.grid, K)
-    i_est, _ = dev.rate_field(mu, basis, mean, cfg.kernel, cfg.rate)
+    forms = dev._Functionals(mean, K, mu, cfg.kernel, cfg.rate)
+    i_est, _ = dev._galerkin(forms, basis)
     # the directions of _probe_basis: all but 1_{x >= 6} are members of basis
     probes = basis + [dev.TestFunction.indicator_geq(mean.grid, K, 6)]
-    forms = dev._Functionals(mean, K, mu, cfg.kernel, cfg.rate)
     resid = max(_duality_residual(forms, psi, phi) for phi in probes)
     art = {
         "mu_projection.csv": _csv("t,mu_ell", zip(mean.grid.points.tolist(), proj.tolist())),
@@ -583,7 +583,7 @@ def _run_mdp_duality(cfg: ExperimentConfig) -> ResultBundle:
             worst = max(worst, _duality_residual(forms, psi, phi))
         half_norm = 0.5 * forms.inner(psi, psi)
         basis = probes if any(np.array_equal(psi.values, p.values) for p in probes) else probes + [psi]
-        i_est, _ = dev.rate_field(mu, basis, mean, cfg.kernel, cfg.rate)
+        i_est, _ = dev._galerkin(forms, basis)
         rel = abs(i_est - half_norm) / half_norm if half_norm > 0 else 0.0
         ok = worst <= resid_tol and rel <= rate_tol
         all_ok = all_ok and ok

@@ -22,6 +22,11 @@ lam_k <g_k Law_k, grad phi_k> holds to rounding (plus truncation flux, which
 is Poisson-tail small).  With g = grad psi that sum IS [psi, phi]: the Riesz
 duality becomes a machine-precision identity on the lattice instead of an
 O(dt) approximation.
+
+The linearized solver is the birth-ladder stepper of the fluctuation field
+(``fluct._ladder_path``) driven by the source instead of noise.  ``rate_field``
+is one Galerkin solve (``_galerkin``) over the shared work ``_Functionals``;
+a caller that already holds that work for mu passes it to ``_galerkin``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fluct import FieldPath, _ladder
+from .fluct import FieldPath, _ladder_path
 from .meanfield import MeanPath, TimeGrid, limit_law_path
 from .model import Kernel, RateFn
 
@@ -43,12 +48,14 @@ __all__ = [
     "rate_mean",
     "inner",
     "upsilon",
-    "j_functional",
     "solve_linearized",
     "linearized_from_test_function",
     "rate_field",
     "default_basis",
 ]
+
+# ridge added to the Gram matrix, relative to its mean diagonal
+_RIDGE_SCALE = 1e-10
 
 
 class GramConditioningError(np.linalg.LinAlgError):
@@ -253,14 +260,6 @@ def upsilon(
     return _Functionals(mean, mu.K, mu, kernel, rate).upsilon(phi)
 
 
-def j_functional(
-    mu: FieldPath, phi: TestFunction, mean: MeanPath, kernel: Kernel, rate: RateFn
-) -> float:
-    """Quadratic-corrected functional J_mu(phi) = Upsilon_mu(phi) - [phi, phi] / 2."""
-    forms = _Functionals(mean, mu.K, mu, kernel, rate)
-    return forms.upsilon(phi) - 0.5 * forms.inner(phi, phi)
-
-
 def solve_linearized(
     g: np.ndarray,
     mean: MeanPath,
@@ -278,46 +277,16 @@ def solve_linearized(
                      + lam_k (g_k(x-1) Law_k(x-1) - g_k(x) Law_k(x)) ],
 
     with mu_0 = 0, H_k the excitation response of <mu, ell>, and the flux out
-    of state K dropped into the mass defect.
+    of state K dropped into the mass defect; stepped by ``fluct._ladder_path``.
     """
-    grid = mean.grid
-    n, dt = grid.n, grid.dt
+    n = mean.grid.n
     gv = np.asarray(g, dtype=float)
     if gv.shape != (n + 1, K + 1):
         raise ValueError(f"source must be (n+1) x (K+1) = {(n + 1, K + 1)}, got {gv.shape}")
     if not np.all(np.isfinite(gv)):
         raise ValueError("source values must be finite")
     law = limit_law_path(mean, K)[:n]
-    h0 = float(kernel.eval(0.0))
-    hp = np.atleast_1d(kernel.deriv(grid.points))
-    phid = np.atleast_1d(rate.deriv(mean.excitation))
-    lam = mean.lam
-    states = np.arange(K + 1, dtype=float)
-
-    # everything that does not depend on the solution, for all steps at once
-    dlaw = _ladder(law)
-    grow = gv[:n] * law
-    source = lam[:n, None] * _ladder(grow)
-
-    values = np.zeros((n + 1, K + 1))
-    defect = np.zeros(n + 1)
-    mproj = np.zeros(n + 1)
-    x = np.zeros(K + 1)
-    shift_x = np.zeros(K + 1)
-    for k in range(n):
-        conv = h0 * mproj[k] + dt * float(np.dot(hp[k:0:-1], mproj[:k]))
-        shift_x[1:] = x[:-1]
-        x = x + dt * (lam[k] * (shift_x - x) + phid[k] * conv * dlaw[k] + source[k])
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"linearized solve diverged at step {k}")
-        defect[k + 1] = defect[k] + dt * (
-            lam[k] * values[k, K] + phid[k] * conv * law[k, K] + lam[k] * grow[k, K]
-        )
-        values[k + 1] = x
-        mproj[k + 1] = float(states @ x)
-    values.flags.writeable = False
-    defect.flags.writeable = False
-    return FieldPath(grid=grid, K=K, values=values, mass_defect=defect)
+    return _ladder_path(mean, kernel, rate, law, gv[:n] * law, np.zeros_like(law))
 
 
 def linearized_from_test_function(
@@ -327,30 +296,20 @@ def linearized_from_test_function(
     return solve_linearized(psi.grad, mean, kernel, rate, psi.K)
 
 
-def rate_field(
-    mu: FieldPath,
-    basis: Sequence[TestFunction],
-    mean: MeanPath,
-    kernel: Kernel,
-    rate: RateFn,
-    ridge_scale: float = 1e-10,
-) -> tuple[float, np.ndarray]:
-    """Galerkin lower bound on the field rate I(mu) over span(basis).
+def _galerkin(forms: _Functionals, basis: Sequence[TestFunction]) -> tuple[float, np.ndarray]:
+    """Solve (G + ridge I) c = b with G_ij = [phi_i, phi_j], b_i = Upsilon_mu(phi_i).
 
-    Solves (G + ridge I) c = b with G_ij = [phi_i, phi_j] and
-    b_i = Upsilon_mu(phi_i); returns (b . c / 2, c).  Exact whenever the Riesz
-    representative of Upsilon_mu lies in the span; a lower bound otherwise.
+    Returns (b . c / 2, c); ``forms`` carries the field mu.
     """
     if len(basis) < 1:
         raise ValueError("rate_field needs a nonempty basis")
     d = len(basis)
-    forms = _Functionals(mean, mu.K, mu, kernel, rate)
     G = np.empty((d, d))
     for i in range(d):
         for j in range(i, d):
             G[i, j] = G[j, i] = forms.inner(basis[i], basis[j])
     b = np.array([forms.upsilon(phi) for phi in basis])
-    ridge = ridge_scale * float(np.trace(G)) / d
+    ridge = _RIDGE_SCALE * float(np.trace(G)) / d
     A = G + ridge * np.eye(d)
     try:
         c = np.linalg.solve(A, b)
@@ -364,6 +323,22 @@ def rate_field(
             f"Gram matrix ill-conditioned after ridge {ridge:.3e}: cond={cond:.3e}"
         )
     return max(0.5 * float(b @ c), 0.0), c
+
+
+def rate_field(
+    mu: FieldPath,
+    basis: Sequence[TestFunction],
+    mean: MeanPath,
+    kernel: Kernel,
+    rate: RateFn,
+) -> tuple[float, np.ndarray]:
+    """Galerkin lower bound on the field rate I(mu) over span(basis).
+
+    Returns (b . c / 2, c) for the ridge-regularized Gram system of the
+    basis.  Exact whenever the Riesz representative of Upsilon_mu lies in the
+    span; a lower bound otherwise.
+    """
+    return _galerkin(_Functionals(mean, mu.K, mu, kernel, rate), basis)
 
 
 def default_basis(

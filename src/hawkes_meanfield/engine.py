@@ -52,7 +52,6 @@ __all__ = [
     "simulate_coupled",
     "simulate_perturbed",
     "mean_path",
-    "empirical_measure",
     "sup_path_difference",
     "event_log_to_bytes",
     "event_log_from_bytes",
@@ -120,16 +119,8 @@ def _freeze_jumps(times, owner, N: int) -> tuple[np.ndarray, ...]:
     return tuple(flat[a:b] for a, b in zip([0] + ends[:-1], ends))
 
 
-class _ZeroCache:
-    def add(self, t: float) -> None:
-        pass
-
-    def value(self, t: float) -> float:
-        return 0.0
-
-
 class _ConstCache:
-    # h constant: the convolution is level * (total jumps) / N
+    # h constant (zero included): the convolution is level * (total jumps) / N
     def __init__(self, level: float, N: int):
         self.per_jump = level / N
         self.acc = 0.0
@@ -178,9 +169,7 @@ class _GenericCache:
 
 
 def _make_cache(kernel: Kernel, N: int):
-    if kernel.kind == "zero":
-        return _ZeroCache()
-    if kernel.kind == "constant":
+    if kernel.kind in ("zero", "constant"):
         return _ConstCache(kernel.a, N)
     if kernel.kind == "exponential":
         return _ExpCache(kernel.a, kernel.b, N)
@@ -437,16 +426,6 @@ def mean_path(log: EventLog, grid: TimeGrid) -> np.ndarray:
         raise ValueError(f"grid horizon {grid.T} does not match log horizon {log.T}")
     allj = np.sort(_flat_jumps(log)[0])
     return np.searchsorted(allj, grid.points, side="right") / log.N
-
-
-def empirical_measure(log: EventLog, t: float, K: int) -> tuple[np.ndarray, int]:
-    """Distribution of particle counts at time t over {0..K}, plus overflow count."""
-    if t > log.T + 1e-12:
-        raise ValueError(f"t={t} beyond the simulated horizon {log.T}")
-    c = log.counts(t)
-    overflow = int(np.sum(c > K))
-    pmf = np.bincount(c[c <= K], minlength=K + 1)[: K + 1] / log.N
-    return pmf, overflow
 
 
 def sup_path_difference(a: EventLog, b: EventLog) -> np.ndarray:

@@ -20,6 +20,9 @@ limits are simulated here on a truncated state lattice {0..K}:
   birth-ladder above, with X(-1) = 0 and the flux out of state K dropped and
   accumulated as a mass defect.  The same Gaussian xi(x) feeds states x and
   x+1, which is exactly the noise correlation the weak form prescribes.
+
+The birth-ladder stepper ``_ladder_path`` is shared with the linearized
+dynamics of ``deviations``, which replace the noise by a deterministic source.
 """
 
 from __future__ import annotations
@@ -43,8 +46,12 @@ __all__ = [
     "simulate_limit_mean",
     "limit_mean_variance",
     "simulate_limit_field",
-    "estimate_moments",
 ]
+
+# |mass defect| at the horizon beyond which a simulated limit field refuses K
+_DEFECT_THRESHOLD = 1e-6
+# dense covariance propagation is O(n^3) time and O(n^2) memory
+_DENSE_CAP = 512
 
 
 class GridTooFineError(ValueError):
@@ -115,11 +122,11 @@ def _occupancy(log: EventLog, grid, K: int) -> tuple[np.ndarray, np.ndarray]:
     return hist[:, : K + 1], hist[:, K + 1].astype(np.int64)
 
 
-def centered_field(log: EventLog, mean: MeanPath, K: int, tail_threshold: float = 1e-8) -> FieldPath:
+def centered_field(log: EventLog, mean: MeanPath, K: int) -> FieldPath:
     """sqrt(N)-scaled deviation of the empirical count distribution from the limit law."""
     if abs(mean.grid.T - log.T) > 1e-9 * max(1.0, log.T):
         raise ValueError("mean path and event log cover different horizons")
-    limit_law(mean, mean.grid.T, K, tail_threshold)  # raises TruncationError if K too small
+    limit_law(mean, mean.grid.T, K)  # raises TruncationError if K too small
     hist, overflow = _occupancy(log, mean.grid, K)
     law = limit_law_path(mean, K)
     values = math.sqrt(log.N) * (hist / log.N - law)
@@ -130,15 +137,9 @@ def centered_field(log: EventLog, mean: MeanPath, K: int, tail_threshold: float 
     return FieldPath(grid=mean.grid, K=K, values=values, mass_defect=defect, overflow=overflow)
 
 
-def rescaled_field(
-    log: EventLog,
-    mean: MeanPath,
-    K: int,
-    speed: SpeedSequence,
-    tail_threshold: float = 1e-8,
-) -> FieldPath:
+def rescaled_field(log: EventLog, mean: MeanPath, K: int, speed: SpeedSequence) -> FieldPath:
     """Centered field divided by the speed a(N); the moderate-deviation object."""
-    base = centered_field(log, mean, K, tail_threshold)
+    base = centered_field(log, mean, K)
     a = speed.a(log.N)
     values = base.values / a
     defect = base.mass_defect / a
@@ -259,17 +260,11 @@ def _variance_lyapunov(mean: MeanPath, kernel: Kernel, rate: RateFn) -> np.ndarr
     return out
 
 
-def limit_mean_variance(
-    mean: MeanPath,
-    kernel: Kernel,
-    rate: RateFn,
-    method: str = "auto",
-    dense_cap: int = 512,
-) -> np.ndarray:
+def limit_mean_variance(mean: MeanPath, kernel: Kernel, rate: RateFn, method: str = "auto") -> np.ndarray:
     """Var(X_{t_k}) of the scalar limit SDE along the grid.
 
     ``method`` is "dense" (any kernel, O(n^2) memory / O(n^3) time, refused
-    beyond ``dense_cap`` steps), "lyapunov" (exponential kernels only), or
+    beyond 512 steps), "lyapunov" (exponential kernels only), or
     "auto" (lyapunov when available).
     """
     if mean.grid.n == 0:
@@ -282,9 +277,9 @@ def limit_mean_variance(
         return _variance_lyapunov(mean, kernel, rate)
     if method != "dense":
         raise ValueError(f"unknown method {method!r}")
-    if mean.grid.n > dense_cap:
+    if mean.grid.n > _DENSE_CAP:
         raise GridTooFineError(
-            f"dense propagation capped at {dense_cap} steps (grid has {mean.grid.n}); "
+            f"dense propagation capped at {_DENSE_CAP} steps (grid has {mean.grid.n}); "
             "solve the mean on a coarser grid or estimate the variance by Monte Carlo "
             "over simulate_limit_mean replicas"
         )
@@ -298,37 +293,40 @@ def _ladder(a: np.ndarray) -> np.ndarray:
     return shifted - a
 
 
-def simulate_limit_field(
+def _ladder_path(
     mean: MeanPath,
     kernel: Kernel,
     rate: RateFn,
-    K: int,
-    seed: int,
-    tail_threshold: float = 1e-8,
-    defect_threshold: float = 1e-6,
-    zero_noise: bool = False,
+    law: np.ndarray,
+    source: np.ndarray,
+    noise: np.ndarray,
 ) -> FieldPath:
-    """One Euler-Maruyama path of the measure-valued limit on grid x {0..K}.
+    """Forward-Euler path of the birth-ladder equation on grid x {0..K}.
 
-    ``zero_noise`` freezes every Gaussian draw at 0 (diagnostic: the drift is
-    linear homogeneous, so the output must be identically zero).
+        X_{k+1}(x) = X_k(x) + dt [ lam_k (X_k(x-1) - X_k(x))
+                     + phi'(c_k) H_k (Law_k(x-1) - Law_k(x))
+                     + lam_k (source_k(x-1) - source_k(x)) ]
+                     + sqrt(lam_k dt) (noise_k(x-1) - noise_k(x)),
+
+    with X_0 = 0 and H_k the excitation response of <X, ell>.  ``law``,
+    ``source`` and ``noise`` hold one row per step (n x (K+1)); the flux of
+    each out of state K is dropped into the mass defect.  The limit field
+    drives the ladder with noise sqrt(Law) xi and the linearized dynamics with
+    the source g Law; each passes zeros for the forcing it does not have.
     """
     grid = mean.grid
     n, dt = grid.n, grid.dt
-    limit_law(mean, grid.T, K, tail_threshold)
-    law = limit_law_path(mean, K)[:n]
+    K = law.shape[1] - 1
     h0 = float(kernel.eval(0.0))
     hp = np.atleast_1d(kernel.deriv(grid.points))
     phid = np.atleast_1d(rate.deriv(mean.excitation))
     lam = mean.lam
     states = np.arange(K + 1, dtype=float)
 
-    xi = np.zeros((n, K + 1)) if zero_noise else MarkStream(seed, 0).normals(n * (K + 1)).reshape(n, K + 1)
-
     # everything that does not depend on the path, for all steps at once
     dlaw = _ladder(law)
-    s = np.sqrt(law) * xi
-    ds = _ladder(s)
+    dsource = lam[:n, None] * _ladder(source)
+    dnoise = _ladder(noise)
 
     values = np.zeros((n + 1, K + 1))
     defect = np.zeros(n + 1)
@@ -339,28 +337,35 @@ def simulate_limit_field(
         conv = h0 * mproj[k] + dt * float(np.dot(hp[k:0:-1], mproj[:k]))
         shift_x[1:] = x[:-1]
         root = math.sqrt(lam[k] * dt)
-        x = x + dt * (lam[k] * (shift_x - x) + phid[k] * conv * dlaw[k]) + root * ds[k]
+        x = x + dt * (lam[k] * (shift_x - x) + phid[k] * conv * dlaw[k] + dsource[k]) + root * dnoise[k]
         if not np.isfinite(x).all():
-            raise FloatingPointError(f"limit-field path diverged at step {k}")
-        lost = dt * (lam[k] * values[k, K] + phid[k] * conv * law[k, K]) + root * s[k, K]
+            raise FloatingPointError(f"birth-ladder path diverged at step {k}")
+        lost = (
+            dt * (lam[k] * values[k, K] + phid[k] * conv * law[k, K] + lam[k] * source[k, K])
+            + root * noise[k, K]
+        )
         defect[k + 1] = defect[k] + lost
         values[k + 1] = x
         mproj[k + 1] = float(states @ x)
-    if abs(defect[-1]) > defect_threshold:
-        raise TruncationError(
-            f"truncation defect {defect[-1]:.3e} exceeds {defect_threshold:.1e}; increase K"
-        )
     values.flags.writeable = False
     defect.flags.writeable = False
     return FieldPath(grid=grid, K=K, values=values, mass_defect=defect)
 
 
-def estimate_moments(samples) -> tuple[float, float, float]:
-    """Sample mean, unbiased variance, and 95% normal-approximation CI half-width."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least 2 replicas to estimate moments")
-    mean = float(x.mean())
-    var = float(x.var(ddof=1))
-    half = 1.96 * math.sqrt(var / x.size)
-    return mean, var, half
+def simulate_limit_field(mean: MeanPath, kernel: Kernel, rate: RateFn, K: int, seed: int) -> FieldPath:
+    """One Euler-Maruyama path of the measure-valued limit on grid x {0..K}.
+
+    Raises TruncationError when the limit law or the accumulated flux out of
+    state K is not negligible at this K.
+    """
+    n = mean.grid.n
+    limit_law(mean, mean.grid.T, K)
+    law = limit_law_path(mean, K)[:n]
+    xi = MarkStream(seed, 0).normals(n * (K + 1)).reshape(n, K + 1)
+    path = _ladder_path(mean, kernel, rate, law, np.zeros_like(law), np.sqrt(law) * xi)
+    defect = path.mass_defect[-1]
+    if abs(defect) > _DEFECT_THRESHOLD:
+        raise TruncationError(
+            f"truncation defect {defect:.3e} exceeds {_DEFECT_THRESHOLD:.1e}; increase K"
+        )
+    return path

@@ -8,9 +8,8 @@ mean ``m_t`` solves the Volterra fixed point
 with intensity ``lambda(t) = phi(int_0^t h(t-s) dm_s)``.  This module solves
 that equation on a uniform grid (explicit stepping plus one Picard sweep; the
 stability margin 1 - alpha*||h||_L1 > 0 makes the map a contraction, so a
-single correction already controls the first-order error), exposes Stieltjes
-convolution against kernel paths, and truncates the Poisson law at a finite
-state count with explicit tail accounting.
+single correction already controls the first-order error), and truncates the
+Poisson law at a finite state count with explicit tail accounting.
 """
 
 from __future__ import annotations
@@ -29,11 +28,13 @@ __all__ = [
     "SolverDivergenceError",
     "TruncationError",
     "solve_mean",
-    "convolve",
     "limit_law",
     "limit_law_path",
     "suggested_state_count",
 ]
+
+# Poisson tail mass beyond K above which the truncated law is refused
+_TAIL_THRESHOLD = 1e-8
 
 
 class SolverDivergenceError(RuntimeError):
@@ -173,34 +174,6 @@ def solve_mean(kernel: Kernel, rate: RateFn, T: float, dt: float) -> MeanPath:
     return MeanPath(grid, _freeze(cum), _freeze(lam), _freeze(exc))
 
 
-def convolve(kernel: Kernel, path, t: float, grid: TimeGrid | None = None) -> float:
-    """int_0^t h(t-s) d(path_s) for a bounded-variation path started at 0.
-
-    Two representations are accepted: a jump list (atoms of unit mass; exact
-    Stieltjes sum over atoms with time <= t) when ``grid`` is None, or grid
-    values of the path on ``grid`` (integration-by-parts form with trapezoid
-    quadrature, evaluated at a grid point t).
-    """
-    if grid is None:
-        atoms = np.asarray(path, dtype=float)
-        if atoms.size and (atoms.min() < 0.0):
-            raise ValueError("jump atoms must be nonnegative times")
-        if t < 0.0:
-            raise ValueError(f"t={t} is negative")
-        keep = atoms[atoms <= t]
-        return float(np.sum(kernel.eval(t - keep))) if keep.size else 0.0
-    f = np.asarray(path, dtype=float)
-    if f.shape != (grid.n + 1,):
-        raise ValueError("grid path must have one value per grid point")
-    if not 0.0 <= t <= grid.T + 1e-12:
-        raise ValueError(f"t={t} outside [0, {grid.T}]")
-    k = grid.index_of(t)
-    if k == 0:
-        return float(kernel.eval(0.0)) * f[0]
-    sub = TimeGrid(k * grid.dt, grid.dt, k)
-    return float(_excitation_trapezoid(kernel, sub, f[: k + 1])[k])
-
-
 def _poisson_pmf(mean: float, K: int) -> tuple[np.ndarray, float]:
     pmf = np.zeros(K + 1)
     if mean == 0.0:
@@ -218,16 +191,16 @@ def suggested_state_count(mean_value: float) -> int:
     return int(math.ceil(mean_value + 10.0 * math.sqrt(mean_value + 1.0)))
 
 
-def limit_law(mean: MeanPath, t: float, K: int, tail_threshold: float = 1e-8) -> LimitLaw:
+def limit_law(mean: MeanPath, t: float, K: int) -> LimitLaw:
     """Poisson law of the limit process at a grid time t, truncated at K."""
     if K < 1:
         raise ValueError(f"limit_law needs K >= 1, got {K}")
     k = mean.grid.index_of(t)
     mt = float(mean.m[k])
     pmf, tail = _poisson_pmf(mt, K)
-    if tail > tail_threshold:
+    if tail > _TAIL_THRESHOLD:
         raise TruncationError(
-            f"tail mass {tail:.3e} beyond K={K} exceeds {tail_threshold:.1e}; "
+            f"tail mass {tail:.3e} beyond K={K} exceeds {_TAIL_THRESHOLD:.1e}; "
             f"use K >= {suggested_state_count(mt)}"
         )
     return LimitLaw(pmf=_freeze(pmf), tail_mass=tail, mean=mt)

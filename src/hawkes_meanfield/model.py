@@ -30,6 +30,9 @@ __all__ = [
     "rate_to_dict",
 ]
 
+# kernel probes of validate_assumptions: steps of the grid on [0, T]
+_PROBE_STEPS = 1000
+
 
 class ValidationError(ValueError):
     """A model produced a non-finite or ill-typed value."""
@@ -229,13 +232,8 @@ def kernel_norms(kernel: Kernel, T: float, dt: float) -> tuple[float, float]:
     return float(np.max(np.abs(vals))), float(np.trapezoid(np.abs(vals), ts))
 
 
-def validate_assumptions(
-    kernel: Kernel,
-    rate: RateFn,
-    T: float,
-    probe_dt: float | None = None,
-) -> AssumptionReport:
-    """Probe the model on a grid and report the stability margin.
+def validate_assumptions(kernel: Kernel, rate: RateFn, T: float) -> AssumptionReport:
+    """Probe the model on a T/1000 grid and report the stability margin.
 
     Checks h >= 0 and finite, h' finite, h' consistent with h under central
     differences, phi > 0, the declared Lipschitz constant, and phi' against
@@ -244,15 +242,12 @@ def validate_assumptions(
     """
     if not T > 0:
         raise ValidationError(f"validate_assumptions needs T > 0, got {T}")
-    if probe_dt is None:
-        probe_dt = T / 1000.0
     warnings: list[str] = []
     probes_ok = True
 
-    sup_norm, l1_norm = kernel_norms(kernel, T, probe_dt)
+    sup_norm, l1_norm = kernel_norms(kernel, T, T / _PROBE_STEPS)
 
-    n = max(int(round(T / probe_dt)), 1)
-    ts = np.linspace(0.0, T, n + 1)
+    ts = np.linspace(0.0, T, _PROBE_STEPS + 1)
     hv = np.atleast_1d(kernel.eval(ts))
     hd = np.atleast_1d(kernel.deriv(ts))
     if not np.all(np.isfinite(hv)):

@@ -5,10 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from hawkes_meanfield import cli
+from hawkes_meanfield import cli, fluct
 from hawkes_meanfield import deviations as dev
 from hawkes_meanfield.engine import event_log_from_bytes
-from hawkes_meanfield.meanfield import solve_mean
+from hawkes_meanfield.meanfield import limit_law_path, solve_mean
 
 
 EXPLIN = {
@@ -273,6 +273,24 @@ def test_mdp_field_summary_golden_bits(tmp_path):
     assert cli.main(["mdp-field", "--config", _write(tmp_path, cfg), "--output", out]) == 0
     s = _summary(out)
     assert {key: float(s[key]).hex() for key in MDP_FIELD_HEX} == MDP_FIELD_HEX
+
+
+@pytest.mark.parametrize("subcommand, psis", [("mdp-field", 1), ("mdp-duality", 3)])
+def test_mdp_runs_build_two_law_paths_per_psi(tmp_path, monkeypatch, subcommand, psis):
+    # one for solving mu^psi, one for the Galerkin functionals of that mu
+    calls = []
+
+    def counting(mean, K):
+        calls.append(K)
+        return limit_law_path(mean, K)
+
+    for module in (fluct, dev):
+        monkeypatch.setattr(module, "limit_law_path", counting)
+    cfg = dict(EXPLIN)
+    cfg["dt"] = 0.0025
+    out = str(tmp_path / "out")
+    assert cli.main([subcommand, "--config", _write(tmp_path, cfg), "--output", out]) == 0
+    assert len(calls) == 2 * psis
 
 
 def test_field_clt_check_runs(tmp_path):

@@ -145,27 +145,6 @@ def test_duality_residuals(homog, explin):
                 assert abs(up - ip) <= 1e-6 * (1.0 + abs(ip))
 
 
-def test_j_functional_examples(homog):
-    kernel, rate, mean = homog
-    mu0 = _zero_field(mean.grid)
-    phi = dev.TestFunction.monomial(mean.grid, K, 1, 1)
-    assert dev.j_functional(mu0, phi, mean, kernel, rate) == pytest.approx(
-        -0.5 * dev.inner(phi, phi, mean, K)
-    )
-    # constant phi: J reduces to c * total terminal mass
-    psi = dev.TestFunction.identity(mean.grid, K)
-    mu = dev.linearized_from_test_function(psi, mean, kernel, rate)
-    const = dev.TestFunction.from_values(mean.grid, K, np.full((mean.grid.n + 1, K + 1), 4.0))
-    total_mass = float(mu.values[-1].sum())
-    assert dev.j_functional(mu, const, mean, kernel, rate) == pytest.approx(
-        4.0 * total_mass, abs=1e-12
-    )
-    # phi = psi: J = [psi, psi] / 2
-    assert dev.j_functional(mu, psi, mean, kernel, rate) == pytest.approx(
-        0.5 * dev.inner(psi, psi, mean, K), rel=1e-9
-    )
-
-
 def test_solve_linearized_zero_source(explin):
     kernel, rate, mean = explin
     mu = dev.solve_linearized(np.zeros((mean.grid.n + 1, K + 1)), mean, kernel, rate, K)
@@ -374,4 +353,3 @@ def test_shared_functionals_match_per_call_evaluation(kind, seed, count, scale):
             ip = _inner_reference(f, g, mean, SMALL_K)
             assert forms.inner(f, g) == ip
             assert dev.inner(f, g, mean, SMALL_K) == ip
-        assert dev.j_functional(mu, f, mean, kernel, rate) == ups - 0.5 * _inner_reference(f, f, mean, SMALL_K)

@@ -17,7 +17,6 @@ from hawkes_meanfield.model import Kernel, RateFn
 from hawkes_meanfield.engine import (
     EventLog,
     SimulationError,
-    empirical_measure,
     event_log_from_bytes,
     event_log_to_bytes,
     event_log_to_csv,
@@ -103,18 +102,10 @@ def test_mean_path_examples():
     assert mean_path(single, grid)[-1] == pytest.approx(2.0)
 
 
-def test_empirical_measure_examples():
-    log = EventLog(N=1, T=1.0, jumps=(np.array([0.3, 0.7]),), seed=0, kind="hawkes")
-    pmf, ovf = empirical_measure(log, 0.5, 3)
-    assert np.array_equal(pmf, [0.0, 1.0, 0.0, 0.0]) and ovf == 0
-    empty = EventLog(N=4, T=1.0, jumps=(np.array([]),) * 4, seed=0, kind="hawkes")
-    pmf, ovf = empirical_measure(empty, 1.0, 2)
-    assert pmf[0] == 1.0 and ovf == 0
-
-
 def test_empirical_measure_tv_against_limit(zero_kernel, const2_rate):
     log = simulate_hawkes(10000, zero_kernel, const2_rate, 1.0, seed=19)
-    pmf, ovf = empirical_measure(log, 1.0, 30)
+    counts = np.bincount(log.counts(1.0), minlength=31)
+    pmf, ovf = counts[:31] / log.N, int(counts[31:].sum())
     pois = np.zeros(31)
     pois[0] = math.exp(-2.0)
     for x in range(30):
@@ -355,6 +346,21 @@ def test_golden_bytes_coupled_coarse_mean(exp_kernel, affine_rate):
     c = simulate_coupled(300, exp_kernel, affine_rate, mean, 1.0, seed=2029)
     assert _sha(c.hawkes) == GOLDEN_WALK["coupled_coarse_hawkes"]
     assert _sha(c.poisson) == GOLDEN_WALK["coupled_coarse_poisson"]
+
+
+# recorded with the zero kernel on its own cache, before it shared the constant one
+GOLDEN_ZERO = {
+    "hawkes": "162a8a7c8d6469fdebc8a74f6a67e244ac245c51d8d88cb61453b99bee492822",
+    "coupled": "a32d33f49f8ed6e9debaf751059119ab458635f5f9da845716ffdc5851b2a054",
+}
+
+
+def test_golden_bytes_zero_kernel(zero_kernel, const2_rate, homog_mean):
+    assert _sha(simulate_hawkes(300, zero_kernel, const2_rate, 1.0, seed=2030)) == GOLDEN_ZERO["hawkes"]
+    c = simulate_coupled(300, zero_kernel, const2_rate, homog_mean, 1.0, seed=2031)
+    # no excitation: both logs accept the same candidates
+    assert _sha(c.hawkes) == GOLDEN_ZERO["coupled"]
+    assert _sha(c.poisson) == GOLDEN_ZERO["coupled"]
 
 
 def _lambda_interp_reference(mean):

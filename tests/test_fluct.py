@@ -10,14 +10,14 @@ from hawkes_meanfield.engine import EventLog, mean_path, simulate_coupled, simul
 from hawkes_meanfield.fluct import (
     GridTooFineError,
     SpeedSequence,
+    _ladder_path,
     centered_field,
-    estimate_moments,
     limit_mean_variance,
     rescaled_field,
     simulate_limit_field,
     simulate_limit_mean,
 )
-from hawkes_meanfield.rng import MarkStream, derive_seed
+from hawkes_meanfield.rng import derive_seed
 
 
 def _coarse_mean(kernel, rate, n=100):
@@ -164,8 +164,23 @@ def test_limit_field_conservation_and_zero_noise(exp_kernel, affine_rate):
     mean = _coarse_mean(exp_kernel, affine_rate)
     f = simulate_limit_field(mean, exp_kernel, affine_rate, 30, seed=31)
     assert np.max(np.abs(f.values.sum(axis=1) + f.mass_defect)) <= 1e-10
-    z = simulate_limit_field(mean, exp_kernel, affine_rate, 30, seed=31, zero_noise=True)
+    # without noise the drift is linear homogeneous: the path stays at 0
+    law = limit_law_path(mean, 30)[: mean.grid.n]
+    z = _ladder_path(mean, exp_kernel, affine_rate, law, np.zeros_like(law), np.zeros_like(law))
     assert np.all(z.values == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["exp", "tab"])
+def test_ladder_path_without_forcing_is_exactly_zero(kind, exp_kernel, affine_rate):
+    tab = Kernel.tabulated((0.0, 0.25, 0.5, 1.0), (1.0, 0.7, 0.4, 0.0))
+    kernel = exp_kernel if kind == "exp" else tab
+    mean = _coarse_mean(kernel, affine_rate, n=200)
+    law = limit_law_path(mean, 30)[: mean.grid.n]
+    zeros = np.zeros_like(law)
+    path = _ladder_path(mean, kernel, affine_rate, law, zeros, zeros)
+    assert np.all(path.values == 0.0) and np.all(path.mass_defect == 0.0)
+    # +0.0 throughout: a zero forcing adds nothing, not even a sign
+    assert not np.signbit(path.values).any() and not np.signbit(path.mass_defect).any()
 
 
 def test_limit_field_constant_projection_conserved(exp_kernel, affine_rate):
@@ -211,27 +226,11 @@ def test_variance_stable_under_dt_halving(zero_kernel, const2_rate):
             simulate_limit_field(mean, zero_kernel, const2_rate, 25, seed=derive_seed(47, r)).values[-1, 0]
             for r in range(400)
         ]
-        m, v, ci = estimate_moments(vals)
         outs.append((np.var(vals, ddof=1), len(vals)))
     v1, n1 = outs[0]
     v2, n2 = outs[1]
     ci_width = (math.sqrt(2.0 / (n1 - 1)) + math.sqrt(2.0 / (n2 - 1))) * max(v1, v2)
     assert abs(v1 - v2) <= ci_width
-
-
-def test_estimate_moments_examples():
-    m, v, ci = estimate_moments([1.0, 1.0, 1.0])
-    assert (m, v) == (1.0, 0.0)
-    m, v, ci = estimate_moments([0.0, 2.0])
-    assert (m, v) == (1.0, 2.0)
-    with pytest.raises(ValueError):
-        estimate_moments([1.0])
-
-
-def test_estimate_moments_rng_oracle():
-    z = MarkStream(53, 0).normals(10000)
-    m, v, ci = estimate_moments(z)
-    assert abs(m) <= 0.03 and abs(v - 1.0) <= 0.05
 
 
 # recorded before the limit-field stepper took its law ladder and noise ladder

@@ -8,7 +8,7 @@ from hawkes_meanfield.meanfield import (
     SolverDivergenceError,
     TimeGrid,
     TruncationError,
-    convolve,
+    _excitation_trapezoid,
     limit_law,
     limit_law_path,
     solve_mean,
@@ -86,31 +86,16 @@ def test_divergent_model_reports_step():
         solve_mean(Kernel.constant(1.0), r, 1.0, 1e-2)
 
 
-def test_convolve_single_atom():
-    assert convolve(Kernel.exponential(1, 2), [0.5], 1.0) == pytest.approx(math.exp(-1.0))
-
-
-def test_convolve_zero_cases():
-    assert convolve(Kernel.exponential(1, 2), [], 0.7) == 0.0
-    g = TimeGrid.from_T_dt(1.0, 1e-2)
-    assert convolve(Kernel.zero(), g.points.copy(), 1.0, grid=g) == 0.0
-
-
 def test_convolve_representations_agree():
-    # the same staircase path as atoms and as grid values
+    # the grid convolution solve_mean uses, on a staircase path, against the
+    # exact Stieltjes sum over its atoms
     g = TimeGrid.from_T_dt(1.0, 1e-3)
     atoms = [0.123, 0.5, 0.51, 0.87]
     staircase = np.sum(g.points[:, None] >= np.asarray(atoms)[None, :], axis=1).astype(float)
     k = Kernel.exponential(1.0, 2.0)
-    exact = convolve(k, atoms, 1.0)
-    approx = convolve(k, staircase, 1.0, grid=g)
+    exact = float(np.sum(k.eval(1.0 - np.asarray(atoms))))
+    approx = float(_excitation_trapezoid(k, g, staircase)[-1])
     assert approx == pytest.approx(exact, abs=5e-3)  # quadrature error only
-
-
-def test_convolve_domain_errors():
-    g = TimeGrid.from_T_dt(1.0, 1e-2)
-    with pytest.raises(ValueError):
-        convolve(Kernel.zero(), np.zeros(g.n + 1), 1.5, grid=g)
 
 
 def test_limit_law_values(homog_mean):
