@@ -43,6 +43,7 @@ from .engine import (
     sup_path_difference,
 )
 from .fluct import (
+    _FIELD_BLOCK,
     centered_field,
     limit_mean_variance,
     simulate_limit_field,
@@ -198,7 +199,8 @@ def _pmap(fn, count: int, workers: int) -> list:
     if workers <= 1 or count <= 1:
         return [fn(i) for i in range(count)]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(workers, count)) as pool:
+    # outputs do not depend on the worker count, so more processes than cores buy nothing
+    with ctx.Pool(min(workers, count, os.cpu_count() or 1)) as pool:
         return pool.map(fn, range(count))
 
 
@@ -212,12 +214,6 @@ def _w_field_proj(args, rep: int) -> float:
     kernel, rate, N, T, seed, mean, K, x0 = args
     log = simulate_hawkes(N, kernel, rate, T, derive_seed(seed, rep))
     f = centered_field(log, mean, K)
-    return float(f.values[-1, x0])
-
-
-def _w_limit_field_proj(args, rep: int) -> float:
-    kernel, rate, mean, K, seed, x0 = args
-    f = simulate_limit_field(mean, kernel, rate, K, derive_seed(seed, rep))
     return float(f.values[-1, x0])
 
 
@@ -345,14 +341,14 @@ def _run_field_clt_check(cfg: ExperimentConfig) -> ResultBundle:
         cfg.replicas,
         cfg.workers,
     )
-    spde = _pmap(
-        functools.partial(
-            _w_limit_field_proj,
-            (cfg.kernel, cfg.rate, mean_field_grid, K, derive_seed(cfg.seed, 1 << 20), x0),
-        ),
-        field_reps,
-        cfg.workers,
-    )
+    # the limit-field replicas are stepped together, one block of seeds per
+    # call, keeping only each path's projection so memory stays one block's
+    spde_seed = derive_seed(cfg.seed, 1 << 20)
+    seeds = [derive_seed(spde_seed, rep) for rep in range(field_reps)]
+    spde = []
+    for lo in range(0, field_reps, _FIELD_BLOCK):
+        paths = simulate_limit_field(mean_field_grid, cfg.kernel, cfg.rate, K, seeds[lo : lo + _FIELD_BLOCK])
+        spde += [float(f.values[-1, x0]) for f in paths]
     emp_var = float(np.var(emp, ddof=1))
     spde_var = float(np.var(spde, ddof=1))
     ratio = emp_var / spde_var

@@ -286,7 +286,8 @@ def solve_linearized(
     if not np.all(np.isfinite(gv)):
         raise ValueError("source values must be finite")
     law = limit_law_path(mean, K)[:n]
-    return _ladder_path(mean, kernel, rate, law, gv[:n] * law, np.zeros_like(law))
+    source = (gv[:n] * law)[None]
+    return _ladder_path(mean, kernel, rate, law, source, np.zeros_like(source))[0]
 
 
 def linearized_from_test_function(

@@ -16,26 +16,34 @@ linear and candidates can be mapped to real time one at a time, in order,
 without ever discarding or re-drawing pending candidates.  Floating-point ties
 across particles are broken by particle index.
 
+Since the dominating rate never falls, every candidate whose clock lies within
+``(T - t) * lbar`` of the current clock maps to a time in (0, T], whatever
+jumps come first.  The walk therefore proceeds in rounds: all candidates
+inside that bound draw their marks and next clocks at once, one lexsort by
+(clock, particle) merges them, and they are accepted one by one.  Each stream
+draws exactly the words a candidate-by-candidate walk would draw.
+
 Each particle consumes its own counter-based stream, which is what makes the
 shared-randomness coupling and the tilted variant well defined: the same
 (seed, particle) pair replays the same candidate points and acceptance marks
 under every mode.
 
 The limit intensity of the Poisson comparison system feeds nothing back into
-the walk, so the coupled mode records every candidate (time, mark times the
-dominating rate, particle, dominating rate) and accepts the Poisson log in one
-vectorized pass after the walk.  The bound checks therefore run in this
-order: the interacting intensity against the dominating rate at each
-candidate during the walk, then the limit intensity at every candidate after
-it, where the first violating candidate raises ``SimulationError``.
+the walk, so the coupled mode records the time and dominating rate of every
+candidate (its particle and mark are known from the rounds) and accepts the
+Poisson log in one vectorized pass after the walk.  The bound checks
+therefore run in this order: the interacting intensity against the dominating
+rate at each candidate during the walk, then the limit intensity at every
+candidate after it, where the first violating candidate raises
+``SimulationError``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -69,24 +77,66 @@ class SimulationError(RuntimeError):
     """Simulation aborted (dominating-rate overflow or inconsistent inputs)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class EventLog:
-    """Per-particle sorted jump times of one simulated system on (0, T]."""
+    """Jump times of one simulated system of N particles on (0, T].
+
+    The log is stored flat: ``times`` holds every jump time, particle by
+    particle and sorted within each particle, and particle i owns the next
+    ``sizes[i]`` of them; both arrays are read-only.  ``jumps`` gives the
+    per-particle view, and ``EventLog(N=, T=, jumps=, seed=, kind=)`` builds a
+    log from per-particle arrays.
+    """
 
     N: int
     T: float
-    jumps: tuple[np.ndarray, ...]
+    times: np.ndarray = field(repr=False)
+    sizes: np.ndarray = field(repr=False)
     seed: int
     kind: str  # hawkes | mf_poisson | perturbed
 
+    def __init__(self, N: int, T: float, jumps: Sequence, seed: int, kind: str):
+        parts = [np.asarray(j, dtype=float).reshape(-1) for j in jumps]
+        if len(parts) != N:
+            raise ValueError(f"need {N} per-particle jump arrays, got {len(parts)}")
+        times = np.concatenate(parts) if parts else np.zeros(0)
+        _fill_log(self, N, T, times, np.array([p.size for p in parts], dtype=np.int64), seed, kind)
+
+    @classmethod
+    def _from_flat(cls, N: int, T: float, times, sizes, seed: int, kind: str) -> "EventLog":
+        """A log from its flat times and per-particle counts (arrays the log then owns)."""
+        log = cls.__new__(cls)
+        _fill_log(log, N, T, times, sizes, seed, kind)
+        return log
+
+    @cached_property
+    def jumps(self) -> tuple[np.ndarray, ...]:
+        """Per-particle sorted jump times, as read-only views of ``times``."""
+        ends = np.cumsum(self.sizes).tolist()
+        return tuple(self.times[a:b] for a, b in zip([0] + ends[:-1], ends))
+
     def counts(self, t: float) -> np.ndarray:
         """Integer count of each particle at time t (jumps at exactly t included)."""
-        times, owner = _flat_jumps(self)
-        return np.bincount(owner[times <= t], minlength=self.N).astype(np.int64, copy=False)
+        return np.bincount(_owners(self)[self.times <= t], minlength=self.N).astype(np.int64, copy=False)
 
     @property
     def total_jumps(self) -> int:
-        return int(sum(j.size for j in self.jumps))
+        return int(self.times.size)
+
+
+def _fill_log(log: EventLog, N, T, times, sizes, seed, kind) -> None:
+    times = np.asarray(times, dtype=float)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    times.flags.writeable = False
+    sizes.flags.writeable = False
+    fields = {"N": int(N), "T": float(T), "times": times, "sizes": sizes, "seed": seed, "kind": kind}
+    for name, value in fields.items():
+        object.__setattr__(log, name, value)
+
+
+def _owners(log: EventLog) -> np.ndarray:
+    """The particle of each entry of ``log.times``."""
+    return np.repeat(np.arange(log.N), log.sizes)
 
 
 @dataclass(frozen=True)
@@ -98,25 +148,15 @@ class CouplingLog:
     seed: int
 
 
-def _flat_jumps(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
-    """All jump times of a log in particle order, with the particle of each."""
-    sizes = [j.size for j in log.jumps]
-    times = np.concatenate(log.jumps) if sum(sizes) else np.zeros(0)
-    return times, np.repeat(np.arange(log.N), sizes)
+def _particle_major(times, owner, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jump times listed in walk order, regrouped particle by particle, and the count of each.
 
-
-def _freeze_jumps(times, owner, N: int) -> tuple[np.ndarray, ...]:
-    """Per-particle read-only views of one array of jump times.
-
-    ``times`` and ``owner`` list the jumps in the order of the walk, which is
-    time order, so a stable sort by particle keeps each particle's times sorted.
+    The walk visits jumps in time order, so a stable sort by particle keeps
+    each particle's times sorted.
     """
     owner = np.asarray(owner, dtype=np.int64)
     order = np.argsort(owner, kind="stable")
-    flat = np.asarray(times, dtype=float)[order]
-    flat.flags.writeable = False
-    ends = np.cumsum(np.bincount(owner, minlength=N)).tolist()
-    return tuple(flat[a:b] for a, b in zip([0] + ends[:-1], ends))
+    return np.asarray(times, dtype=float)[order], np.bincount(owner, minlength=N)
 
 
 class _ConstCache:
@@ -133,19 +173,25 @@ class _ConstCache:
 
 
 class _ExpCache:
-    # h(t) = a e^{-bt}: decayed jump sum updated in O(1) per event
+    # h(t) = a e^{-bt}: decayed jump sum updated in O(1) per event.  The walk
+    # calls add(t) only right after value(t) at the same t, so add reuses the
+    # decay factor that value computed.
+    __slots__ = ("a_over_n", "b", "s", "t_ref", "decay")
+
     def __init__(self, a: float, b: float, N: int):
         self.a_over_n = a / N
         self.b = b
         self.s = 0.0
         self.t_ref = 0.0
+        self.decay = 1.0
 
     def add(self, t: float) -> None:
-        self.s = self.s * math.exp(-self.b * (t - self.t_ref)) + 1.0
+        self.s = self.s * self.decay + 1.0
         self.t_ref = t
 
     def value(self, t: float) -> float:
-        return self.a_over_n * self.s * math.exp(-self.b * (t - self.t_ref))
+        decay = self.decay = math.exp(-self.b * (t - self.t_ref))
+        return self.a_over_n * self.s * decay
 
 
 class _GenericCache:
@@ -219,32 +265,35 @@ def _run_thinning(
     psi_grid: TimeGrid | None = None,
     tilt: float = 0.0,
     stream_indices: Sequence[int] | None = None,
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...] | None]:
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
+    """(times, sizes) of the interacting log, and of the Poisson log in coupled mode."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     if not T > 0:
         raise ValueError(f"need T > 0, got {T}")
     phi = _scalar_rate(rate)
     phi0 = float(rate.eval(0.0))
-    h_sup, _ = kernel_norms(kernel, T, T / 1000.0)
+    h_sup, _ = kernel_norms(kernel, T)
     # each accepted jump raises the dominating rate by alpha * ||h||_sup / N
     rise = rate.lipschitz * h_sup
     cache = _make_cache(kernel, N)
     coupled = mode == "coupled"
     tilted = mode == "perturbed"
 
-    mf_bound = 0.0
+    # lbar = max(phi(0) + rise * Zbar, floor) * scale: the floor is the
+    # limit intensity's peak in coupled mode, the scale the tilt's in perturbed mode
+    floor = -math.inf
     if coupled:
         if mean is None or mean.grid.T < T - 1e-12:
             raise SimulationError("coupled simulation needs a mean path solved on [0, T]")
-        mf_bound = float(np.max(mean.lam))
+        floor = float(np.max(mean.lam))
 
-    tilt_bound = 1.0
+    scale = 1.0
     if tilted:
         n_psi = psi_grid.n
         dt_psi = psi_grid.dt
         k_states = grad_psi.shape[1] - 1
-        tilt_bound = math.exp(max(0.0, tilt * float(np.max(grad_psi))))
+        scale = math.exp(max(0.0, tilt * float(np.max(grad_psi))))
 
         def grad_at(t: float, x: int) -> float:
             if x > k_states:
@@ -259,10 +308,9 @@ def _run_thinning(
 
     def bound(total: int) -> float:
         lb = phi0 + rise * (total / N)
-        if coupled:
-            lb = max(lb, mf_bound)
-        elif tilted:
-            lb *= tilt_bound
+        if floor > lb:
+            lb = floor
+        lb *= scale
         if not (lb < _RATE_CEILING):
             raise SimulationError(f"dominating rate {lb:.3e} overflows; model is pathological")
         return lb
@@ -272,23 +320,22 @@ def _run_thinning(
     elif len(stream_indices) != N:
         raise ValueError(f"need {N} stream indices, got {len(stream_indices)}")
     streams = MarkStream.batch(seed, stream_indices)
-    heap = [(streams[i].exponential(), i) for i in range(N)]
-    heapq.heapify(heap)
-    replace = heapq.heapreplace
+    # clock value of each particle's next candidate
+    pending = np.array([s.exponential() for s in streams])
     value = cache.value
     add = cache.add
 
     # accepted jumps as (time, particle), in walk order
     jump_t: list[float] = []
     jump_i: list[int] = []
-    # coupled mode: (time, mark * lbar, particle, lbar) of every candidate
+    # coupled mode: time and lbar of every candidate walked; its particle and
+    # mark follow from the rounds, which are walked in order
     cand_t: list[float] = []
-    cand_zl: list[float] = []
-    cand_i: list[int] = []
     cand_bar: list[float] = []
+    walk_is: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    walk_us: list[np.ndarray] = [np.zeros(0)]
     jump_t_add, jump_i_add = jump_t.append, jump_i.append
-    cand_t_add, cand_zl_add = cand_t.append, cand_zl.append
-    cand_i_add, cand_bar_add = cand_i.append, cand_bar.append
+    cand_t_add, cand_bar_add = cand_t.append, cand_bar.append
     counts = [0] * N
     total = 0
 
@@ -296,45 +343,87 @@ def _run_thinning(
     q_ref = 0.0
     lam_bar = bound(total)
     slack = lam_bar * (1.0 + 1e-9)
+    # the horizon less a relative 1e-12, so rounding in the walk's running
+    # time cannot carry a candidate of a round past T
+    t_round = T * (1.0 - 1e-12)
 
-    while True:
-        q, i = heap[0]
-        t_cand = t + (q - q_ref) / lam_bar
-        if t_cand > T:
-            break
-        stream = streams[i]
-        zl = stream.uniform() * lam_bar
-        if tilted:
-            lam = math.exp(tilt * grad_at(t_cand, counts[i])) * phi(value(t_cand))
-        else:
-            lam = phi(value(t_cand))
-            if coupled:
-                cand_t_add(t_cand)
-                cand_zl_add(zl)
-                cand_i_add(i)
-                cand_bar_add(lam_bar)
-        # the negated form also catches NaN; an assert would vanish under python -O
-        if not lam <= slack:
-            raise SimulationError(_bound_violation("intensity", lam, lam_bar, t_cand))
-        t = t_cand
-        q_ref = q
-        if zl < lam:
-            jump_t_add(t_cand)
-            jump_i_add(i)
-            counts[i] += 1
-            total += 1
-            add(t_cand)
-            lam_bar = bound(total)
-            slack = lam_bar * (1.0 + 1e-9)
-        replace(heap, (q + stream.exponential(), i))
+    walking = True
+    while walking:
+        # The dominating rate never falls, so every candidate up to q_lim maps
+        # to a time <= T however many jumps come first: draw the marks and the
+        # next clocks of all of them at once.
+        q_lim = q_ref + (t_round - t) * lam_bar
+        ready = np.flatnonzero(pending <= q_lim)
+        if not ready.size:
+            # the smallest pending candidate decides the stop, as a heap's top would
+            q_lim = float(pending.min())
+            if t + (q_lim - q_ref) / lam_bar > T:
+                break
+            ready = np.flatnonzero(pending <= q_lim)
+        round_q: list[float] = []
+        round_i: list[int] = []
+        round_u: list[float] = []
+        q_add, i_add, u_add = round_q.append, round_i.append, round_u.append
+        after: list[float] = []
+        after_add = after.append
+        for i, q in zip(ready.tolist(), pending[ready].tolist()):
+            stream = streams[i]
+            while q <= q_lim:
+                q_add(q)
+                i_add(i)
+                u_add(stream.uniform())
+                q += stream.exponential()
+            after_add(q)
+        pending[ready] = after
+        # walk the round in (clock, particle) order, the order of a heap of
+        # (q, i) pairs; lexsort is stable, so a particle's equal clocks keep
+        # the order they were drawn in
+        walk_q, walk_i, walk_u = np.array(round_q), np.array(round_i), np.array(round_u)
+        order = np.lexsort((walk_i, walk_q))
+        walk_i, walk_u = walk_i[order], walk_u[order]
+        if coupled:
+            walk_is.append(walk_i)
+            walk_us.append(walk_u)
+        for q, i, u in zip(walk_q[order].tolist(), walk_i.tolist(), walk_u.tolist()):
+            t_cand = t + (q - q_ref) / lam_bar
+            if t_cand > T:
+                # only reachable if rounding outgrew the 1e-12 margin: the log
+                # still stops where the candidate-by-candidate walk stops
+                walking = False
+                break
+            zl = u * lam_bar
+            if tilted:
+                lam = math.exp(tilt * grad_at(t_cand, counts[i])) * phi(value(t_cand))
+            else:
+                lam = phi(value(t_cand))
+                if coupled:
+                    cand_t_add(t_cand)
+                    cand_bar_add(lam_bar)
+            # the negated form also catches NaN; an assert would vanish under python -O
+            if not lam <= slack:
+                raise SimulationError(_bound_violation("intensity", lam, lam_bar, t_cand))
+            t = t_cand
+            q_ref = q
+            if zl < lam:
+                jump_t_add(t_cand)
+                jump_i_add(i)
+                if tilted:
+                    counts[i] += 1
+                total += 1
+                add(t_cand)
+                lam_bar = bound(total)
+                slack = lam_bar * (1.0 + 1e-9)
 
-    jumps = _freeze_jumps(jump_t, jump_i, N)
+    jumps = _particle_major(jump_t, jump_i, N)
     if not coupled:
         return jumps, None
     # the limit intensity feeds nothing back into the walk: accept the Poisson
     # log in one pass over the recorded candidates
     ct = np.asarray(cand_t, dtype=float)
     bars = np.asarray(cand_bar, dtype=float)
+    walked = ct.size
+    cand_i = np.concatenate(walk_is)[:walked]
+    zl = np.concatenate(walk_us)[:walked] * bars
     lam_mf = _limit_intensity(mean, ct)
     bad = np.flatnonzero(~(lam_mf <= bars * (1.0 + 1e-9)))
     if bad.size:
@@ -342,8 +431,8 @@ def _run_thinning(
         raise SimulationError(
             _bound_violation("limit intensity", float(lam_mf[j]), float(bars[j]), float(ct[j]))
         )
-    hit = np.asarray(cand_zl, dtype=float) < lam_mf
-    return jumps, _freeze_jumps(ct[hit], np.asarray(cand_i, dtype=np.int64)[hit], N)
+    hit = zl < lam_mf
+    return jumps, _particle_major(ct[hit], cand_i[hit], N)
 
 
 def simulate_hawkes(
@@ -362,8 +451,8 @@ def simulate_hawkes(
     at the candidate time.  ``stream_indices`` remaps particles onto stream
     keys (testing hook for the exchangeability contract).
     """
-    jumps, _ = _run_thinning("hawkes", N, kernel, rate, T, seed, stream_indices=stream_indices)
-    return EventLog(N=N, T=float(T), jumps=jumps, seed=seed, kind="hawkes")
+    flat, _ = _run_thinning("hawkes", N, kernel, rate, T, seed, stream_indices=stream_indices)
+    return EventLog._from_flat(N, T, *flat, seed, "hawkes")
 
 
 def simulate_coupled(
@@ -382,10 +471,10 @@ def simulate_coupled(
     acceptance regions nested this realizes the usual shared-randomness
     coupling, and with h == 0 the two logs are identical.
     """
-    jumps, jumps_mf = _run_thinning("coupled", N, kernel, rate, T, seed, mean=mean)
+    flat, flat_mf = _run_thinning("coupled", N, kernel, rate, T, seed, mean=mean)
     return CouplingLog(
-        hawkes=EventLog(N=N, T=float(T), jumps=jumps, seed=seed, kind="hawkes"),
-        poisson=EventLog(N=N, T=float(T), jumps=jumps_mf, seed=seed, kind="mf_poisson"),
+        hawkes=EventLog._from_flat(N, T, *flat, seed, "hawkes"),
+        poisson=EventLog._from_flat(N, T, *flat_mf, seed, "mf_poisson"),
         seed=seed,
     )
 
@@ -414,17 +503,17 @@ def simulate_perturbed(
         raise ValueError("psi_grad must be finite")
     if psi_grid.T < T - 1e-12:
         raise ValueError("test function grid must cover [0, T]")
-    jumps, _ = _run_thinning(
+    flat, _ = _run_thinning(
         "perturbed", N, kernel, rate, T, seed, grad_psi=grad, psi_grid=psi_grid, tilt=float(tilt)
     )
-    return EventLog(N=N, T=float(T), jumps=jumps, seed=seed, kind="perturbed")
+    return EventLog._from_flat(N, T, *flat, seed, "perturbed")
 
 
 def mean_path(log: EventLog, grid: TimeGrid) -> np.ndarray:
     """Empirical mean count Zbar(t_k) = N^-1 sum_i count_i(t_k) on the grid."""
     if abs(grid.T - log.T) > 1e-9 * max(1.0, log.T):
         raise ValueError(f"grid horizon {grid.T} does not match log horizon {log.T}")
-    allj = np.sort(_flat_jumps(log)[0])
+    allj = np.sort(log.times)
     return np.searchsorted(allj, grid.points, side="right") / log.N
 
 
@@ -436,11 +525,9 @@ def sup_path_difference(a: EventLog, b: EventLog) -> np.ndarray:
     """
     if a.N != b.N:
         raise ValueError("event logs must have the same particle count")
-    ta, pa = _flat_jumps(a)
-    tb, pb = _flat_jumps(b)
-    times = np.concatenate([ta, tb])
-    owner = np.concatenate([pa, pb])
-    step = np.concatenate([np.ones(ta.size, np.int64), -np.ones(tb.size, np.int64)])
+    times = np.concatenate([a.times, b.times])
+    owner = np.concatenate([_owners(a), _owners(b)])
+    step = np.concatenate([np.ones(a.total_jumps, np.int64), -np.ones(b.total_jumps, np.int64)])
     order = np.lexsort((times, owner))
     times, owner, step = times[order], owner[order], step[order]
     # running count_a - count_b within each particle: the global running sum
@@ -463,11 +550,7 @@ def event_log_to_bytes(log: EventLog) -> bytes:
     """Compact binary record: HWKS, version u16, N u32, T f64, seed u64,
     per-particle jump counts u32, then all jump times f64 (little endian)."""
     head = _MAGIC + struct.pack("<HIdQ", _VERSION, log.N, log.T, log.seed)
-    counts = np.array([j.size for j in log.jumps], dtype="<u4").tobytes()
-    times = (
-        np.concatenate(log.jumps).astype("<f8").tobytes() if log.total_jumps else b""
-    )
-    return head + counts + times
+    return head + log.sizes.astype("<u4").tobytes() + log.times.astype("<f8").tobytes()
 
 
 def event_log_from_bytes(buf: bytes, kind: str = "hawkes") -> EventLog:
@@ -497,18 +580,10 @@ def event_log_from_bytes(buf: bytes, kind: str = "hawkes") -> EventLog:
     drops = np.flatnonzero(np.diff(times) < 0.0) + 1
     if not np.all(np.isin(drops, starts)):
         raise ValueError("event-log jump times decrease within a particle")
-    jumps = []
-    pos = 0
-    for c in counts:
-        arr = times[pos : pos + int(c)].astype(float)
-        arr.flags.writeable = False
-        jumps.append(arr)
-        pos += int(c)
-    return EventLog(N=int(n), T=float(t), jumps=tuple(jumps), seed=int(seed), kind=kind)
+    return EventLog._from_flat(n, t, times.astype(float), counts, int(seed), kind)
 
 
 def event_log_to_csv(log: EventLog) -> str:
     lines = ["particle,jump_time"]
-    for i, j in enumerate(log.jumps):
-        lines.extend([f"{i},{t!r}" for t in j.tolist()])
+    lines.extend([f"{i},{t!r}" for i, t in zip(_owners(log).tolist(), log.times.tolist())])
     return "\n".join(lines) + "\n"

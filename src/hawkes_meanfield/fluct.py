@@ -108,12 +108,12 @@ def _occupancy(log: EventLog, grid, K: int) -> tuple[np.ndarray, np.ndarray]:
     n = grid.n
     delta = np.zeros((n + 1, K + 2))
     delta[0, 0] = log.N
-    sizes = [j.size for j in log.jumps]
-    total = int(sum(sizes))
+    total = log.total_jumps
     if total:
-        times = np.concatenate([j for j in log.jumps if j.size])
-        ranks = np.concatenate([np.arange(s) for s in sizes if s])
-        idx = np.searchsorted(grid.points, times, side="left")
+        # rank of each jump within its particle, from the particle-major layout
+        firsts = np.cumsum(log.sizes) - log.sizes
+        ranks = np.arange(total) - np.repeat(firsts, log.sizes)
+        idx = np.searchsorted(grid.points, log.times, side="left")
         src = np.minimum(ranks, K + 1)
         dst = np.minimum(ranks + 1, K + 1)
         np.add.at(delta, (idx, src), -1.0)
@@ -287,9 +287,9 @@ def limit_mean_variance(mean: MeanPath, kernel: Kernel, rate: RateFn, method: st
 
 
 def _ladder(a: np.ndarray) -> np.ndarray:
-    """a(x-1) - a(x) along each row, with a(-1) = 0: the birth-ladder difference."""
+    """a(x-1) - a(x) along the last axis, with a(-1) = 0: the birth-ladder difference."""
     shifted = np.zeros_like(a)
-    shifted[:, 1:] = a[:, :-1]
+    shifted[..., 1:] = a[..., :-1]
     return shifted - a
 
 
@@ -300,72 +300,101 @@ def _ladder_path(
     law: np.ndarray,
     source: np.ndarray,
     noise: np.ndarray,
-) -> FieldPath:
-    """Forward-Euler path of the birth-ladder equation on grid x {0..K}.
+) -> list[FieldPath]:
+    """Forward-Euler paths of the birth-ladder equation on grid x {0..K}, one per replica.
 
         X_{k+1}(x) = X_k(x) + dt [ lam_k (X_k(x-1) - X_k(x))
                      + phi'(c_k) H_k (Law_k(x-1) - Law_k(x))
                      + lam_k (source_k(x-1) - source_k(x)) ]
                      + sqrt(lam_k dt) (noise_k(x-1) - noise_k(x)),
 
-    with X_0 = 0 and H_k the excitation response of <X, ell>.  ``law``,
-    ``source`` and ``noise`` hold one row per step (n x (K+1)); the flux of
-    each out of state K is dropped into the mass defect.  The limit field
-    drives the ladder with noise sqrt(Law) xi and the linearized dynamics with
-    the source g Law; each passes zeros for the forcing it does not have.
+    with X_0 = 0 and H_k the excitation response of <X, ell>.  ``law`` holds
+    one row per step (n x (K+1)); ``source`` and ``noise`` hold such a block
+    per replica (R x n x (K+1)), and the replicas are stepped together.  The
+    flux of each forcing out of state K is dropped into the mass defect.  The
+    limit field drives the ladder with noise sqrt(Law) xi and the linearized
+    dynamics with the source g Law; each passes zeros for the forcing it does
+    not have.
     """
     grid = mean.grid
     n, dt = grid.n, grid.dt
     K = law.shape[1] - 1
+    R = source.shape[0]
     h0 = float(kernel.eval(0.0))
     hp = np.atleast_1d(kernel.deriv(grid.points))
     phid = np.atleast_1d(rate.deriv(mean.excitation))
     lam = mean.lam
     states = np.arange(K + 1, dtype=float)
 
-    # everything that does not depend on the path, for all steps at once
+    # everything that does not depend on the path, for all steps at once,
+    # time-major so that each step reads one contiguous (R, K+1) block
     dlaw = _ladder(law)
-    dsource = lam[:n, None] * _ladder(source)
-    dnoise = _ladder(noise)
+    dsource = np.ascontiguousarray((lam[:n, None] * _ladder(source)).transpose(1, 0, 2))
+    dnoise = np.ascontiguousarray(_ladder(noise).transpose(1, 0, 2))
 
-    values = np.zeros((n + 1, K + 1))
-    defect = np.zeros(n + 1)
-    mproj = np.zeros(n + 1)  # <X, ell> alongside
-    x = np.zeros(K + 1)
-    shift_x = np.zeros(K + 1)
+    values = np.zeros((n + 1, R, K + 1))
+    conv = np.zeros((n, R))  # H_k of every replica
+    mproj = np.zeros((R, n + 1))  # <X, ell> alongside
+    x = np.zeros((R, K + 1))
+    shift_x = np.zeros((R, K + 1))
+    # each replica's row of mproj and of x; x is updated in place, so the views stay live
+    rows = list(zip(mproj, x))
     for k in range(n):
-        conv = h0 * mproj[k] + dt * float(np.dot(hp[k:0:-1], mproj[:k]))
-        shift_x[1:] = x[:-1]
-        root = math.sqrt(lam[k] * dt)
-        x = x + dt * (lam[k] * (shift_x - x) + phid[k] * conv * dlaw[k] + dsource[k]) + root * dnoise[k]
-        if not np.isfinite(x).all():
-            raise FloatingPointError(f"birth-ladder path diverged at step {k}")
-        lost = (
-            dt * (lam[k] * values[k, K] + phid[k] * conv * law[k, K] + lam[k] * source[k, K])
-            + root * noise[k, K]
-        )
-        defect[k + 1] = defect[k] + lost
+        # one np.dot per replica: a batched contraction would sum in another order
+        back = hp[k:0:-1]
+        h_k = conv[k]
+        for r, (m, _) in enumerate(rows):
+            h_k[r] = h0 * m[k] + dt * float(np.dot(back, m[:k]))
+        shift_x[:, 1:] = x[:, :-1]
+        x += dt * (lam[k] * (shift_x - x) + (phid[k] * h_k)[:, None] * dlaw[k] + dsource[k])
+        x += math.sqrt(lam[k] * dt) * dnoise[k]
         values[k + 1] = x
-        mproj[k + 1] = float(states @ x)
+        for m, row in rows:
+            m[k + 1] = states @ row
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
+    if bad.size:
+        raise FloatingPointError(f"birth-ladder path diverged at step {bad[0] - 1}")
+    values = np.ascontiguousarray(values.transpose(1, 0, 2))
+    # flux out of state K at every step, summed in step order from +0.0
+    lost = (
+        dt * (lam[:n] * values[:, :n, K] + phid[:n] * conv.T * law[:, K] + lam[:n] * source[:, :, K])
+        + np.sqrt(lam[:n] * dt) * noise[:, :, K]
+    )
+    defect = np.cumsum(np.concatenate([np.zeros((R, 1)), lost], axis=1), axis=1)
     values.flags.writeable = False
     defect.flags.writeable = False
-    return FieldPath(grid=grid, K=K, values=values, mass_defect=defect)
+    return [FieldPath(grid=grid, K=K, values=v, mass_defect=d) for v, d in zip(values, defect)]
 
 
-def simulate_limit_field(mean: MeanPath, kernel: Kernel, rate: RateFn, K: int, seed: int) -> FieldPath:
-    """One Euler-Maruyama path of the measure-valued limit on grid x {0..K}.
+# replicas stepped together by simulate_limit_field (bounds its working memory)
+_FIELD_BLOCK = 32
 
-    Raises TruncationError when the limit law or the accumulated flux out of
-    state K is not negligible at this K.
+
+def simulate_limit_field(mean: MeanPath, kernel: Kernel, rate: RateFn, K: int, seed):
+    """Euler-Maruyama paths of the measure-valued limit on grid x {0..K}.
+
+    ``seed`` is one seed, for one ``FieldPath``, or a sequence of seeds, for
+    one ``FieldPath`` per seed in order; each path depends on its own seed
+    only.  Raises TruncationError when the limit law or the accumulated flux
+    out of state K is not negligible at this K.
     """
     n = mean.grid.n
     limit_law(mean, mean.grid.T, K)
     law = limit_law_path(mean, K)[:n]
-    xi = MarkStream(seed, 0).normals(n * (K + 1)).reshape(n, K + 1)
-    path = _ladder_path(mean, kernel, rate, law, np.zeros_like(law), np.sqrt(law) * xi)
-    defect = path.mass_defect[-1]
-    if abs(defect) > _DEFECT_THRESHOLD:
-        raise TruncationError(
-            f"truncation defect {defect:.3e} exceeds {_DEFECT_THRESHOLD:.1e}; increase K"
-        )
-    return path
+    root_law = np.sqrt(law)
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else list(seed)
+    paths = []
+    for lo in range(0, len(seeds), _FIELD_BLOCK):
+        noise = np.stack([MarkStream(s, 0).normals(n * (K + 1)) for s in seeds[lo : lo + _FIELD_BLOCK]])
+        noise = noise.reshape(-1, n, K + 1)
+        noise *= root_law  # sqrt(Law) xi
+        block = _ladder_path(mean, kernel, rate, law, np.zeros_like(noise), noise)
+        for path in block:
+            defect = path.mass_defect[-1]
+            if abs(defect) > _DEFECT_THRESHOLD:
+                raise TruncationError(
+                    f"truncation defect {defect:.3e} exceeds {_DEFECT_THRESHOLD:.1e}; increase K"
+                )
+        paths += block
+    return paths[0] if single else paths

@@ -206,36 +206,36 @@ class AssumptionReport:
     warnings: tuple[str, ...]
 
 
-def kernel_norms(kernel: Kernel, T: float, dt: float) -> tuple[float, float]:
-    """Sup norm and L1 norm of the kernel on [0, T].
+def kernel_norms(kernel: Kernel, T: float) -> tuple[float, float]:
+    """Sup norm and L1 norm of the kernel on [0, T], in closed form.
 
-    Closed forms for the zero / constant / exponential descriptors; grid sup
-    plus trapezoid L1 on {0, dt, ..., T} otherwise.
+    A tabulated kernel is linear between its knots and constant past the last
+    one, so on the knots clipped to [0, T] its sup norm is the largest |value|
+    and its L1 norm sums one exact integral of |linear| per segment.
     """
     if not T > 0:
         raise ValidationError(f"kernel_norms needs T > 0, got {T}")
-    if not 0 < dt <= T:
-        raise ValidationError(f"kernel_norms needs 0 < dt <= T, got dt={dt}")
     if kernel.kind == "zero":
         return 0.0, 0.0
     if kernel.kind == "constant":
         return kernel.a, kernel.a * T
     if kernel.kind == "exponential":
         return kernel.a, (kernel.a / kernel.b) * (1.0 - math.exp(-kernel.b * T))
-    n = max(int(round(T / dt)), 1)
-    ts = np.linspace(0.0, T, n + 1)
-    vals = kernel.eval(ts)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        t_bad = float(ts[np.argmax(bad)])
-        raise ValidationError(f"kernel value is not finite at t={t_bad}")
-    return float(np.max(np.abs(vals))), float(np.trapezoid(np.abs(vals), ts))
+    ts = np.append(kernel.grid[kernel.grid < T], T)
+    vals = np.interp(ts, kernel.grid, kernel.values)
+    lo, hi = np.abs(vals[:-1]), np.abs(vals[1:])
+    mean_abs = 0.5 * (lo + hi)
+    # a segment whose ends differ in sign holds two triangles around its root
+    cross = vals[:-1] * vals[1:] < 0.0
+    mean_abs[cross] = 0.5 * (lo[cross] ** 2 + hi[cross] ** 2) / (lo[cross] + hi[cross])
+    return float(np.max(np.abs(vals))), float(np.sum(np.diff(ts) * mean_abs))
 
 
 def validate_assumptions(kernel: Kernel, rate: RateFn, T: float) -> AssumptionReport:
     """Probe the model on a T/1000 grid and report the stability margin.
 
-    Checks h >= 0 and finite, h' finite, h' consistent with h under central
+    The margin uses the exact kernel norms of ``kernel_norms``.  The probes
+    check h >= 0 and finite, h' finite, h' consistent with h under central
     differences, phi > 0, the declared Lipschitz constant, and phi' against
     central differences of phi.  Grid probes cannot certify the assumptions
     over all reals; they catch real misconfiguration cheaply.
@@ -245,7 +245,7 @@ def validate_assumptions(kernel: Kernel, rate: RateFn, T: float) -> AssumptionRe
     warnings: list[str] = []
     probes_ok = True
 
-    sup_norm, l1_norm = kernel_norms(kernel, T, T / _PROBE_STEPS)
+    sup_norm, l1_norm = kernel_norms(kernel, T)
 
     ts = np.linspace(0.0, T, _PROBE_STEPS + 1)
     hv = np.atleast_1d(kernel.eval(ts))

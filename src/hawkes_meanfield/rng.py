@@ -74,7 +74,7 @@ class MarkStream:
     distinct indices enter the underlying sequence at unrelated keys.
     """
 
-    __slots__ = ("key", "counter", "_words", "_offset", "_prefetched")
+    __slots__ = ("key", "counter", "_uniforms", "_log_args", "_offset", "_prefetched")
 
     def __init__(self, seed: int, index: int = 0):
         self.key = stream_key(seed, index)
@@ -86,21 +86,28 @@ class MarkStream:
         """Streams ``cls(seed, i)`` for every ``i`` in ``indices``, built in one pass.
 
         The keys and the first ``PREFETCH`` words of every stream are mixed as
-        numpy arrays and kept in one shared buffer; draws past them fall back to
-        the scalar mixer.  Every draw equals the one ``cls(seed, i)`` makes.
+        numpy arrays and kept, already turned into floats, in two shared
+        buffers: the uniform of each word and the argument of the exponential's
+        logarithm (numpy rounds both exactly as the scalar path does).  Draws
+        past them fall back to the scalar mixer.  Every draw equals the one
+        ``cls(seed, i)`` makes.
         """
         idx = np.asarray(indices, dtype=np.int64).reshape(-1)
         base = np.uint64(mix64((seed & _MASK64) ^ _STREAM_SALT))
         keys = _mix64_np(base + (idx + 1).astype(np.uint64) * np.uint64(_GOLDEN))
         ctr = np.arange(1, PREFETCH + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        words = memoryview(_mix64_np(keys[:, None] + ctr[None, :]).reshape(-1))
+        top = (_mix64_np(keys[:, None] + ctr[None, :]).reshape(-1) >> np.uint64(11)).astype(np.float64)
+        uniforms = memoryview(top * _U53)
+        log_args = memoryview((top + 0.5) * _U53)
+        new = cls.__new__
         streams = []
-        for row, key in enumerate(keys.tolist()):
-            s = cls.__new__(cls)
+        for key, offset in zip(keys.tolist(), range(-1, idx.size * PREFETCH, PREFETCH)):
+            s = new(cls)
             s.key = key
             s.counter = 0
-            s._words = words
-            s._offset = row * PREFETCH - 1
+            s._uniforms = uniforms
+            s._log_args = log_args
+            s._offset = offset
             s._prefetched = PREFETCH
             streams.append(s)
         return streams
@@ -109,18 +116,16 @@ class MarkStream:
         """One uniform mark in [0, 1)."""
         c = self.counter = self.counter + 1
         if c <= self._prefetched:
-            w = self._words[self._offset + c]
-        else:
-            w = mix64((self.key + c * _GOLDEN) & _MASK64)
-        return (w >> 11) * _U53
+            return self._uniforms[self._offset + c]
+        return (mix64((self.key + c * _GOLDEN) & _MASK64) >> 11) * _U53
 
     def exponential(self) -> float:
         """One strictly positive unit-rate exponential inter-arrival."""
         c = self.counter = self.counter + 1
         if c <= self._prefetched:
-            w = self._words[self._offset + c]
-        else:
-            w = mix64((self.key + c * _GOLDEN) & _MASK64)
+            # math.log, not np.log: the two differ in the last bit on some draws
+            return -math.log(self._log_args[self._offset + c])
+        w = mix64((self.key + c * _GOLDEN) & _MASK64)
         return -math.log(((w >> 11) + 0.5) * _U53)  # argument in (0, 1)
 
     def _u64_block(self, n: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -132,12 +133,20 @@ def test_clt_check_homogeneous_passes(tmp_path):
     assert 0.9 <= s["ratio"] <= 1.1
 
 
-def test_determinism_across_runs_and_workers(tmp_path):
-    cfg = _write(tmp_path, HOMOG)
+DETERMINISM_CASES = {
+    "clt-check": HOMOG,
+    "field-clt-check": {**HOMOG, "N": 100, "replicas": 20, "params": {"field_replicas": 40}},
+    "couple-scaling": {**EXPLIN, "N": [50, 100, 200], "replicas": 6, "params": {"slope_min": -3.0, "slope_max": 3.0}},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(DETERMINISM_CASES))
+def test_determinism_across_runs_and_workers(tmp_path, subcommand):
+    cfg = _write(tmp_path, DETERMINISM_CASES[subcommand])
     outs = []
-    for name, workers in (("a", "1"), ("b", "1"), ("c", "4")):
+    for name, workers in (("a", "1"), ("b", "1"), ("c", "2")):
         out = str(tmp_path / name)
-        rc = cli.main(["clt-check", "--config", cfg, "--output", out, "--workers", workers])
+        cli.main([subcommand, "--config", cfg, "--output", out, "--workers", workers])
         outs.append(out)
     files = sorted(os.listdir(outs[0]))
     for other in outs[1:]:
@@ -146,6 +155,70 @@ def test_determinism_across_runs_and_workers(tmp_path):
             a = open(os.path.join(outs[0], f), "rb").read()
             b = open(os.path.join(other, f), "rb").read()
             assert a == b, f"artifact {f} differs"
+
+
+TAB_MODEL = {
+    "kernel": {"type": "tabulated", "grid": [0.0, 0.25, 0.5, 1.0], "values": [1.0, 0.7, 0.4, 0.0]},
+    "rate": {"type": "affine", "base": 1.0, "slope": 1.0},
+}
+GOLDEN_CONFIGS = {
+    "field-clt-check": {
+        "model": TAB_MODEL, "T": 1.0, "dt": 0.001, "N": 60, "replicas": 12, "seed": 808,
+        "params": {"field_replicas": 37, "band": 0.9},
+    },
+    "couple-scaling": {
+        "model": EXPLIN["model"], "T": 1.0, "dt": 0.001, "N": [50, 100, 200], "replicas": 6, "seed": 809,
+        "params": {"slope_min": -3.0, "slope_max": 3.0},
+    },
+}
+# SHA-256 of every artifact, recorded before the thinning walk went to rounds,
+# the event logs to one flat array and the limit-field replicas to one batch
+GOLDEN_ARTIFACTS = {
+    "field-clt-check": {
+        "field_clt_empirical.csv": "07867c26fe4efb5d214d580e9a998251f0f4f4f857680828dc8da0875d544eaa",
+        "field_clt_spde.csv": "1648671c11e26ad934d1c911ebb94fd69a6ae36da77f2e44219c07300d04bfdc",
+        "summary.json": "a52b6b4c44cd835867e570dae28989927400b28ca790dda2b696275db88f1ec3",
+    },
+    "couple-scaling": {
+        "couple_scaling.csv": "0d3a04175e96845377f6f229d424ed575c4c73a1bfe25c8e8fc2091fd436b071",
+        "summary.json": "35612d2cf4b6c9fcb5ddb281789c35f59689f8b107f3177103f1c07d150c8f8a",
+    },
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(GOLDEN_ARTIFACTS))
+def test_artifact_golden_bytes(tmp_path, subcommand):
+    out = str(tmp_path / "out")
+    assert cli.main([subcommand, "--config", _write(tmp_path, GOLDEN_CONFIGS[subcommand]), "--output", out]) == 0
+    got = {f: hashlib.sha256(open(os.path.join(out, f), "rb").read()).hexdigest() for f in sorted(os.listdir(out))}
+    assert got == GOLDEN_ARTIFACTS[subcommand]
+
+
+def test_pmap_pool_is_capped_at_the_core_count(monkeypatch):
+    sizes = []
+
+    class StubPool:
+        # records the requested size and runs the work in this process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(i) for i in items]
+
+    class StubContext:
+        Pool = StubPool
+
+    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: StubContext())
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._pmap(abs, 20000, 100000) == list(range(20000))
+    assert cli._pmap(abs, 2, 100000) == [0, 1]
+    assert sizes == [3, 2]
 
 
 def test_env_seed_override(tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
 import hashlib
+import heapq
 import math
 import os
 import struct
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -468,7 +470,7 @@ def test_stream_indices_must_cover_every_particle(exp_kernel, affine_rate):
 
 # --- the thinning bound is enforced by an exception, not an assert -----------------
 
-def _under_reported_norms(kernel, T, dt):
+def _under_reported_norms(kernel, T):
     return 0.0, 0.0
 
 
@@ -496,7 +498,7 @@ def test_under_reported_sup_norm_raises_under_optimize():
     script = (
         "from hawkes_meanfield import engine\n"
         "from hawkes_meanfield.model import Kernel, RateFn\n"
-        "engine.kernel_norms = lambda kernel, T, dt: (0.0, 0.0)\n"
+        "engine.kernel_norms = lambda kernel, T: (0.0, 0.0)\n"
         "try:\n"
         "    engine.simulate_hawkes(200, Kernel.exponential(1.0, 2.0), RateFn.affine(1.0, 1.0), 1.0, seed=67)\n"
         "except engine.SimulationError:\n"
@@ -509,6 +511,14 @@ def test_under_reported_sup_norm_raises_under_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised"
+
+
+def test_spike_kernel_simulates_under_its_exact_sup_norm(affine_rate):
+    # with the sup norm sampled on a T/1000 grid this kernel read 0, so the
+    # dominating rate stayed at phi(0) and the walk raised at seed 0
+    spike = Kernel.tabulated([0.0, 0.005, 0.015, 20.0], [0.0, 90.0, 0.0, 0.0])
+    log = simulate_hawkes(1, spike, affine_rate, 20.0, seed=0)
+    assert log.total_jumps > 0 and np.all((log.times > 0.0) & (log.times <= 20.0))
 
 
 # --- the binary codec rejects malformed records -------------------------------------
@@ -560,3 +570,188 @@ def test_binary_rejects_times_outside_horizon(bad):
 def test_binary_rejects_bad_horizon(T):
     with pytest.raises(ValueError, match="horizon"):
         event_log_from_bytes(_record(1, T, [0], []))
+
+
+# --- the round walk against the candidate-by-candidate heap walk it replaced --------
+
+class _RefExpCache:
+    def __init__(self, a, b, N):
+        self.a_over_n, self.b, self.s, self.t_ref = a / N, b, 0.0, 0.0
+
+    def add(self, t):
+        self.s = self.s * math.exp(-self.b * (t - self.t_ref)) + 1.0
+        self.t_ref = t
+
+    def value(self, t):
+        return self.a_over_n * self.s * math.exp(-self.b * (t - self.t_ref))
+
+
+class _RefConstCache:
+    def __init__(self, level, N):
+        self.per_jump, self.acc = level / N, 0.0
+
+    def add(self, t):
+        self.acc += self.per_jump
+
+    def value(self, t):
+        return self.acc
+
+
+class _RefTabCache:
+    def __init__(self, kernel, N):
+        self.kernel, self.inv_n, self.times = kernel, 1.0 / N, []
+
+    def add(self, t):
+        self.times.append(t)
+
+    def value(self, t):
+        lags = t - np.asarray(self.times, dtype=float)
+        return float(np.interp(lags, self.kernel.grid, self.kernel.values).sum()) * self.inv_n
+
+
+def _ref_cache(kernel, N):
+    if kernel.kind in ("zero", "constant"):
+        return _RefConstCache(kernel.a, N)
+    if kernel.kind == "exponential":
+        return _RefExpCache(kernel.a, kernel.b, N)
+    return _RefTabCache(kernel, N)
+
+
+def _heap_walk(stream_cls, mode, N, kernel, rate, T, seed, mean=None, grad_psi=None, psi_grid=None, tilt=0.0,
+               stream_indices=None):
+    """Reference thinning: pop the smallest (clock, particle) pair off a heap, one candidate at a time.
+
+    Returns the per-particle jump times of the interacting log and, in coupled
+    mode, of the Poisson log.
+    """
+    phi = engine._scalar_rate(rate)
+    phi0 = float(rate.eval(0.0))
+    rise = rate.lipschitz * engine.kernel_norms(kernel, T)[0]
+    cache = _ref_cache(kernel, N)
+    coupled, tilted = mode == "coupled", mode == "perturbed"
+    mf_bound = float(np.max(mean.lam)) if coupled else 0.0
+    lam_mf = _lambda_interp_reference(mean) if coupled else None
+    tilt_bound = math.exp(max(0.0, tilt * float(np.max(grad_psi)))) if tilted else 1.0
+
+    def grad_at(t, x):
+        if x > grad_psi.shape[1] - 1:
+            return 0.0
+        pos = t / psi_grid.dt
+        k = int(pos)
+        if k >= psi_grid.n:
+            return float(grad_psi[psi_grid.n, x])
+        g0 = float(grad_psi[k, x])
+        return g0 + (pos - k) * (float(grad_psi[k + 1, x]) - g0)
+
+    def bound(total):
+        lb = phi0 + rise * (total / N)
+        if coupled:
+            lb = max(lb, mf_bound)
+        elif tilted:
+            lb *= tilt_bound
+        return lb
+
+    streams = stream_cls.batch(seed, range(N) if stream_indices is None else stream_indices)
+    heap = [(streams[i].exponential(), i) for i in range(N)]
+    heapq.heapify(heap)
+    jumps = [[] for _ in range(N)]
+    poisson = [[] for _ in range(N)]
+    counts = [0] * N
+    total = 0
+    t = q_ref = 0.0
+    lam_bar = bound(0)
+    while True:
+        q, i = heap[0]
+        t_cand = t + (q - q_ref) / lam_bar
+        if t_cand > T:
+            break
+        zl = streams[i].uniform() * lam_bar
+        lam = phi(cache.value(t_cand))
+        if tilted:
+            lam = math.exp(tilt * grad_at(t_cand, counts[i])) * lam
+        assert lam <= lam_bar * (1.0 + 1e-9)
+        if coupled and zl < lam_mf(t_cand):
+            poisson[i].append(t_cand)
+        t, q_ref = t_cand, q
+        if zl < lam:
+            jumps[i].append(t_cand)
+            counts[i] += 1
+            total += 1
+            cache.add(t_cand)
+            lam_bar = bound(total)
+        heapq.heapreplace(heap, (q + streams[i].exponential(), i))
+    return jumps, (poisson if coupled else None)
+
+
+def _counting_streams(draws):
+    class Counting(MarkStream):
+        __slots__ = ()
+
+        def uniform(self):
+            draws[self.key, "uniform"] += 1
+            return MarkStream.uniform(self)
+
+        def exponential(self):
+            draws[self.key, "exponential"] += 1
+            return MarkStream.exponential(self)
+
+    return Counting
+
+
+_WALK_RATES = {"affine": RateFn.affine(1.0, 1.0), "tabulated": RateFn.tabulated([0.0, 1.0, 4.0], [0.8, 1.4, 2.0])}
+_WALK_KERNELS = {
+    "zero": Kernel.zero(),
+    "constant": Kernel.constant(0.3),
+    "exp": Kernel.exponential(1.0, 2.0),
+    "tabulated": TAB,
+}
+_WALK_MEANS = {
+    (k, r): solve_mean(_WALK_KERNELS[k], _WALK_RATES[r], 2.0, 0.01) for k in _WALK_KERNELS for r in _WALK_RATES
+}
+
+
+@st.composite
+def _walk_cases(draw):
+    N = draw(st.integers(1, 60))
+    # remapped streams with repeats give exact ties between particles
+    remap = draw(st.none() | st.lists(st.integers(0, max(0, N // 3)), min_size=N, max_size=N))
+    return dict(
+        N=N,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        kernel=draw(st.sampled_from(sorted(_WALK_KERNELS))),
+        rate=draw(st.sampled_from(sorted(_WALK_RATES))),
+        mode=draw(st.sampled_from(["hawkes", "coupled", "perturbed"])),
+        T=draw(st.sampled_from([0.3, 1.0, 2.0])),
+        remap=remap,
+        tilt=draw(st.sampled_from([0.1, 0.6])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walk_cases())
+def test_round_walk_matches_heap_walk(case):
+    N, T, mode = case["N"], case["T"], case["mode"]
+    kernel, rate = _WALK_KERNELS[case["kernel"]], _WALK_RATES[case["rate"]]
+    mean = _WALK_MEANS[case["kernel"], case["rate"]]
+    grid = TimeGrid.from_T_dt(2.0, 0.05)
+    grad = np.random.default_rng(case["seed"] % 2**32).uniform(-1.0, 1.0, size=(grid.n + 1, 6))
+    extra = dict(
+        mean=mean if mode == "coupled" else None,
+        grad_psi=grad if mode == "perturbed" else None,
+        psi_grid=grid if mode == "perturbed" else None,
+        tilt=case["tilt"] if mode == "perturbed" else 0.0,
+        stream_indices=case["remap"],
+    )
+    ref_draws, new_draws = Counter(), Counter()
+    want, want_mf = _heap_walk(_counting_streams(ref_draws), mode, N, kernel, rate, T, case["seed"], **extra)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "MarkStream", _counting_streams(new_draws))
+        got, got_mf = engine._run_thinning(mode, N, kernel, rate, T, case["seed"], **extra)
+
+    def record(jumps):
+        return event_log_to_bytes(EventLog(N=N, T=T, jumps=jumps, seed=0, kind=mode))
+
+    assert event_log_to_bytes(EventLog._from_flat(N, T, *got, 0, mode)) == record(want)
+    if mode == "coupled":
+        assert event_log_to_bytes(EventLog._from_flat(N, T, *got_mf, 0, mode)) == record(want_mf)
+    assert new_draws == ref_draws

@@ -166,7 +166,8 @@ def test_limit_field_conservation_and_zero_noise(exp_kernel, affine_rate):
     assert np.max(np.abs(f.values.sum(axis=1) + f.mass_defect)) <= 1e-10
     # without noise the drift is linear homogeneous: the path stays at 0
     law = limit_law_path(mean, 30)[: mean.grid.n]
-    z = _ladder_path(mean, exp_kernel, affine_rate, law, np.zeros_like(law), np.zeros_like(law))
+    zeros = np.zeros((1,) + law.shape)
+    z = _ladder_path(mean, exp_kernel, affine_rate, law, zeros, zeros)[0]
     assert np.all(z.values == 0.0)
 
 
@@ -176,8 +177,8 @@ def test_ladder_path_without_forcing_is_exactly_zero(kind, exp_kernel, affine_ra
     kernel = exp_kernel if kind == "exp" else tab
     mean = _coarse_mean(kernel, affine_rate, n=200)
     law = limit_law_path(mean, 30)[: mean.grid.n]
-    zeros = np.zeros_like(law)
-    path = _ladder_path(mean, kernel, affine_rate, law, zeros, zeros)
+    zeros = np.zeros((1,) + law.shape)
+    path = _ladder_path(mean, kernel, affine_rate, law, zeros, zeros)[0]
     assert np.all(path.values == 0.0) and np.all(path.mass_defect == 0.0)
     # +0.0 throughout: a zero forcing adds nothing, not even a sign
     assert not np.signbit(path.values).any() and not np.signbit(path.mass_defect).any()
@@ -258,3 +259,35 @@ def test_limit_field_golden_bytes(kind, exp_kernel, affine_rate):
         hashlib.sha256(f.mass_defect.tobytes()).hexdigest(),
     )
     assert got == LIMIT_FIELD_SHA256[kind]
+
+
+TAB = Kernel.tabulated((0.0, 0.25, 0.5, 1.0), (1.0, 0.7, 0.4, 0.0))
+
+
+@pytest.mark.parametrize("kind", ["exp", "tab"])
+def test_limit_field_seed_list_matches_per_seed_calls(kind, exp_kernel, affine_rate):
+    # 37 seeds: one full block of replicas stepped together and a partial one
+    kernel = exp_kernel if kind == "exp" else TAB
+    mean = _coarse_mean(kernel, affine_rate, n=60)
+    seeds = [derive_seed(59, r) for r in range(37)]
+    paths = simulate_limit_field(mean, kernel, affine_rate, 30, seeds)
+    assert len(paths) == len(seeds)
+    for seed, path in zip(seeds, paths):
+        one = simulate_limit_field(mean, kernel, affine_rate, 30, seed)
+        assert path.values.tobytes() == one.values.tobytes()
+        assert path.mass_defect.tobytes() == one.mass_defect.tobytes()
+        assert not path.values.flags.writeable and not path.mass_defect.flags.writeable
+
+
+def test_ladder_path_divergence_names_the_first_step_over_replicas(exp_kernel, affine_rate):
+    mean = _coarse_mean(exp_kernel, affine_rate, n=40)
+    K = 10
+    law = limit_law_path(mean, K)[:40]
+    source = np.zeros((3, 40, K + 1))
+    # finite sources whose ladder differences overflow: replica 2 at step 9, replica 1 at step 5
+    huge = np.finfo(float).max * (-1.0) ** np.arange(K + 1)
+    source[2, 9] = huge
+    source[1, 5] = huge
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="at step 5$"):
+            _ladder_path(mean, exp_kernel, affine_rate, law, source, np.zeros_like(source))

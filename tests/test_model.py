@@ -17,11 +17,11 @@ from hawkes_meanfield.model import (
 
 
 def test_norms_zero_kernel():
-    assert kernel_norms(Kernel.zero(), 1.0, 1e-3) == (0.0, 0.0)
+    assert kernel_norms(Kernel.zero(), 1.0) == (0.0, 0.0)
 
 
 def test_norms_exponential_closed_form():
-    sup, l1 = kernel_norms(Kernel.exponential(1.0, 2.0), 1.0, 1e-3)
+    sup, l1 = kernel_norms(Kernel.exponential(1.0, 2.0), 1.0)
     assert sup == 1.0
     assert l1 == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, abs=1e-15)
     # independent quadrature oracle on a fine grid
@@ -30,12 +30,12 @@ def test_norms_exponential_closed_form():
 
 
 def test_norms_constant_rectangle():
-    assert kernel_norms(Kernel.constant(0.3), 2.0, 1e-3) == (0.3, pytest.approx(0.6))
+    assert kernel_norms(Kernel.constant(0.3), 2.0) == (0.3, pytest.approx(0.6))
 
 
 def test_norms_monotone_in_T():
     k = Kernel.exponential(1.3, 0.7)
-    l1s = [kernel_norms(k, T, 1e-3)[1] for T in (0.5, 1.0, 2.0, 4.0)]
+    l1s = [kernel_norms(k, T)[1] for T in (0.5, 1.0, 2.0, 4.0)]
     assert all(a <= b + 1e-15 for a, b in zip(l1s, l1s[1:]))
 
 
@@ -43,9 +43,32 @@ def test_norms_tabulated_matches_quadrature():
     grid = np.linspace(0, 2, 21)
     vals = 1.0 / (1.0 + grid)
     k = Kernel.tabulated(grid, vals)
-    sup, l1 = kernel_norms(k, 2.0, 1e-3)
+    sup, l1 = kernel_norms(k, 2.0)
     assert sup == pytest.approx(1.0)
     assert l1 == pytest.approx(np.trapezoid(vals, grid), rel=1e-6)
+
+
+# a narrow spike that falls between the points of a T/1000 probe grid (T = 20)
+SPIKE = Kernel.tabulated([0.0, 0.005, 0.015, 20.0], [0.0, 90.0, 0.0, 0.0])
+
+
+def test_norms_tabulated_spike_between_probe_points():
+    sup, l1 = kernel_norms(SPIKE, 20.0)
+    assert sup == 90.0
+    assert l1 == pytest.approx(0.675, rel=1e-12)
+    rep = validate_assumptions(SPIKE, RateFn.affine(1.0, 1.0), 20.0)
+    assert rep.passed and rep.stability_margin == pytest.approx(0.325, rel=1e-12)
+
+
+@pytest.mark.parametrize("T, want", [(0.5, (1.0, 0.25)), (2.0, (1.0, 1.0)), (3.0, (1.0, 2.0)), (1.5, (1.0, 0.75))])
+def test_norms_tabulated_sign_changes_and_tail(T, want):
+    # |h| is two triangles per segment where h changes sign, and h = 1 past t = 2
+    k = Kernel.tabulated([0.0, 1.0, 2.0], [1.0, -1.0, 1.0])
+    sup, l1 = kernel_norms(k, T)
+    assert sup == want[0]
+    assert l1 == pytest.approx(want[1], rel=1e-12)
+    ts = np.linspace(0.0, T, 300001)
+    assert l1 == pytest.approx(np.trapezoid(np.abs(k.eval(ts)), ts), abs=1e-8)
 
 
 def test_exponential_derivative_consistency():
@@ -72,7 +95,7 @@ def test_kernel_validation_errors():
     with pytest.raises(ValidationError):
         Kernel.tabulated([0.0, 1.0], [1.0, float("nan")])
     with pytest.raises(ValidationError):
-        kernel_norms(Kernel.zero(), 0.0, 1e-3)
+        kernel_norms(Kernel.zero(), 0.0)
 
 
 def test_validate_zero_kernel_always_passes():
