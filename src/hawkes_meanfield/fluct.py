@@ -7,8 +7,8 @@ identity test function gives a scalar linear SDE for the mean process.  Both
 limits are simulated here on a truncated state lattice {0..K}:
 
 * the scalar mean-process SDE by explicit Euler-Maruyama,
-* its variance by deterministic covariance propagation (dense recursion for
-  any kernel, a 3-ODE fast path for exponential kernels),
+* its terminal variance by a backward O(n^2) pass over the implicit-trapezoid
+  recursion (any kernel), or a 3-ODE fast path for exponential kernels,
 * the measure-valued equation in its strong birth-ladder form
 
       dX(x) = lam_t [X(x-1) - X(x)] dt
@@ -40,7 +40,6 @@ from .rng import MarkStream
 __all__ = [
     "FieldPath",
     "SpeedSequence",
-    "GridTooFineError",
     "centered_field",
     "rescaled_field",
     "simulate_limit_mean",
@@ -50,12 +49,6 @@ __all__ = [
 
 # |mass defect| at the horizon beyond which a simulated limit field refuses K
 _DEFECT_THRESHOLD = 1e-6
-# dense covariance propagation is O(n^3) time and O(n^2) memory
-_DENSE_CAP = 512
-
-
-class GridTooFineError(ValueError):
-    """Dense covariance propagation refused; use the Monte Carlo fallback."""
 
 
 @dataclass(frozen=True)
@@ -171,12 +164,15 @@ def simulate_limit_mean(mean: MeanPath, kernel: Kernel, rate: RateFn, seed: int)
     return x
 
 
-def _variance_dense(mean: MeanPath, kernel: Kernel, rate: RateFn) -> np.ndarray:
-    """Covariance propagation of the linear recursion, trapezoid-in-time weights.
+def _variance_trapezoid(mean: MeanPath, kernel: Kernel, rate: RateFn) -> float:
+    """Var X_T of the implicit-trapezoid recursion X_{k+1} = a^{(k)} . X_{0..k} + sqrt(s2_k) xi_k.
 
     The drift integral and the excitation convolution both use trapezoid
     quadrature and the implicit step is solved exactly (the equation is linear
-    scalar), so the propagated variance is second-order accurate in dt.
+    scalar), so the variance is second-order accurate in dt.  X_T is linear in
+    the noises: with p_j = dX_T/dX_j, built backward from p_n = 1 by
+    p_{0..k} += p_{k+1} a^{(k)}, the variance is sum_k s2_k p_{k+1}^2 --
+    O(n^2) time and O(n) memory, with no covariance matrix.
     """
     grid = mean.grid
     n, dt = grid.n, grid.dt
@@ -184,9 +180,10 @@ def _variance_dense(mean: MeanPath, kernel: Kernel, rate: RateFn) -> np.ndarray:
     hp = np.atleast_1d(kernel.deriv(grid.points))
     phid = np.atleast_1d(rate.deriv(mean.excitation))
     lam = mean.lam
-    cov = np.zeros((n + 1, n + 1))
-    var = np.zeros(n + 1)
-    for k in range(n):
+    p = np.zeros(n + 1)
+    p[n] = 1.0
+    var = 0.0
+    for k in range(n - 1, -1, -1):
         a = np.zeros(k + 1)
         a[k] += 1.0
         # explicit half of the drift at time k
@@ -204,16 +201,12 @@ def _variance_dense(mean: MeanPath, kernel: Kernel, rate: RateFn) -> np.ndarray:
         denom = 1.0 - gamma
         a /= denom
         s2 = dt * 0.5 * (lam[k] + lam[k + 1]) / denom**2
-        cnew = cov[: k + 1, : k + 1] @ a
-        vnew = float(a @ cnew) + s2
-        cov[k + 1, : k + 1] = cnew
-        cov[: k + 1, k + 1] = cnew
-        cov[k + 1, k + 1] = vnew
-        var[k + 1] = vnew
-    return var
+        var += s2 * p[k + 1] ** 2
+        p[: k + 1] += p[k + 1] * a
+    return float(var)
 
 
-def _variance_lyapunov(mean: MeanPath, kernel: Kernel, rate: RateFn) -> np.ndarray:
+def _variance_lyapunov(mean: MeanPath, kernel: Kernel, rate: RateFn) -> float:
     """Exponential-kernel fast path: close the SDE with Y_t = int h(t-s) dX_s.
 
     For h(t) = a e^{-bt} the pair (X, Y) is Markov:
@@ -223,21 +216,19 @@ def _variance_lyapunov(mean: MeanPath, kernel: Kernel, rate: RateFn) -> np.ndarr
         P11' = 2 sig P12 + lam
         P12' = (a sig - b) P12 + sig P22 + a lam
         P22' = 2 (a sig - b) P22 + a^2 lam,
-    integrated here with RK4 and linear interpolation of lam and sig.
+    integrated here with RK4 and linear interpolation of lam and sig, taken
+    once at every stage time t_k, t_k + dt/2 and t_k + dt.
     """
     grid = mean.grid
     n, dt = grid.n, grid.dt
     a_k, b_k = kernel.a, kernel.b
     ts = grid.points
-    lam = mean.lam
     sig = np.atleast_1d(rate.deriv(mean.excitation))
+    stages = np.stack([ts[:n], ts[:n] + dt / 2, ts[:n] + dt])
+    lam0, lam_h, lam1 = np.interp(stages, ts, mean.lam).tolist()
+    sig0, sig_h, sig1 = np.interp(stages, ts, sig).tolist()
 
-    def interp(arr, t):
-        return float(np.interp(t, ts, arr))
-
-    def rhs(t, p):
-        l = interp(lam, t)
-        s = interp(sig, t)
+    def rhs(l, s, p):
         p11, p12, p22 = p
         return np.array(
             [
@@ -247,43 +238,32 @@ def _variance_lyapunov(mean: MeanPath, kernel: Kernel, rate: RateFn) -> np.ndarr
             ]
         )
 
-    out = np.zeros(n + 1)
     p = np.zeros(3)
     for k in range(n):
-        t = ts[k]
-        k1 = rhs(t, p)
-        k2 = rhs(t + dt / 2, p + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, p + dt / 2 * k2)
-        k4 = rhs(t + dt, p + dt * k3)
+        k1 = rhs(lam0[k], sig0[k], p)
+        k2 = rhs(lam_h[k], sig_h[k], p + dt / 2 * k1)
+        k3 = rhs(lam_h[k], sig_h[k], p + dt / 2 * k2)
+        k4 = rhs(lam1[k], sig1[k], p + dt * k3)
         p = p + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = p[0]
-    return out
+    return float(p[0])
 
 
-def limit_mean_variance(mean: MeanPath, kernel: Kernel, rate: RateFn, method: str = "auto") -> np.ndarray:
-    """Var(X_{t_k}) of the scalar limit SDE along the grid.
+def limit_mean_variance(mean: MeanPath, kernel: Kernel, rate: RateFn, method: str = "auto") -> float:
+    """Var X_T of the scalar limit SDE, on the mean's own grid.
 
-    ``method`` is "dense" (any kernel, O(n^2) memory / O(n^3) time, refused
-    beyond 512 steps), "lyapunov" (exponential kernels only), or
-    "auto" (lyapunov when available).
+    ``method`` is "trapezoid" (any kernel, O(n^2) time and O(n) memory),
+    "lyapunov" (exponential kernels only), or "auto" (lyapunov when
+    available).
     """
-    if mean.grid.n == 0:
-        return np.zeros(1)
     if method == "auto":
-        method = "lyapunov" if kernel.kind == "exponential" else "dense"
+        method = "lyapunov" if kernel.kind == "exponential" else "trapezoid"
     if method == "lyapunov":
         if kernel.kind != "exponential":
             raise ValueError("the Lyapunov fast path needs an exponential kernel")
         return _variance_lyapunov(mean, kernel, rate)
-    if method != "dense":
+    if method != "trapezoid":
         raise ValueError(f"unknown method {method!r}")
-    if mean.grid.n > _DENSE_CAP:
-        raise GridTooFineError(
-            f"dense propagation capped at {_DENSE_CAP} steps (grid has {mean.grid.n}); "
-            "solve the mean on a coarser grid or estimate the variance by Monte Carlo "
-            "over simulate_limit_mean replicas"
-        )
-    return _variance_dense(mean, kernel, rate)
+    return _variance_trapezoid(mean, kernel, rate)
 
 
 def _ladder(a: np.ndarray) -> np.ndarray:

@@ -206,6 +206,15 @@ class AssumptionReport:
     warnings: tuple[str, ...]
 
 
+def _knots(kernel: Kernel, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """A tabulated kernel's knots clipped to [0, T] plus T, and h there.
+
+    h is linear between consecutive points, so these values bound it on [0, T].
+    """
+    ts = np.append(kernel.grid[kernel.grid < T], T)
+    return ts, np.interp(ts, kernel.grid, kernel.values)
+
+
 def kernel_norms(kernel: Kernel, T: float) -> tuple[float, float]:
     """Sup norm and L1 norm of the kernel on [0, T], in closed form.
 
@@ -221,8 +230,7 @@ def kernel_norms(kernel: Kernel, T: float) -> tuple[float, float]:
         return kernel.a, kernel.a * T
     if kernel.kind == "exponential":
         return kernel.a, (kernel.a / kernel.b) * (1.0 - math.exp(-kernel.b * T))
-    ts = np.append(kernel.grid[kernel.grid < T], T)
-    vals = np.interp(ts, kernel.grid, kernel.values)
+    ts, vals = _knots(kernel, T)
     lo, hi = np.abs(vals[:-1]), np.abs(vals[1:])
     mean_abs = 0.5 * (lo + hi)
     # a segment whose ends differ in sign holds two triangles around its root
@@ -234,11 +242,12 @@ def kernel_norms(kernel: Kernel, T: float) -> tuple[float, float]:
 def validate_assumptions(kernel: Kernel, rate: RateFn, T: float) -> AssumptionReport:
     """Probe the model on a T/1000 grid and report the stability margin.
 
-    The margin uses the exact kernel norms of ``kernel_norms``.  The probes
-    check h >= 0 and finite, h' finite, h' consistent with h under central
-    differences, phi > 0, the declared Lipschitz constant, and phi' against
-    central differences of phi.  Grid probes cannot certify the assumptions
-    over all reals; they catch real misconfiguration cheaply.
+    The margin uses the exact kernel norms of ``kernel_norms``, and h >= 0 is
+    checked exactly on [0, T].  The probes check h and h' finite, h'
+    consistent with h under central differences, phi > 0, the declared
+    Lipschitz constant, and phi' against central differences of phi.  Grid
+    probes cannot certify the assumptions over all reals; they catch real
+    misconfiguration cheaply.
     """
     if not T > 0:
         raise ValidationError(f"validate_assumptions needs T > 0, got {T}")
@@ -256,9 +265,11 @@ def validate_assumptions(kernel: Kernel, rate: RateFn, T: float) -> AssumptionRe
     if not np.all(np.isfinite(hd)):
         t_bad = float(ts[np.argmax(~np.isfinite(hd))])
         raise ValidationError(f"kernel derivative is not finite at t={t_bad}")
-    if np.any(hv < 0.0):
+    # exact: a tabulated h is linear between its knots, the other kinds keep one sign
+    signs = _knots(kernel, T)[1] if kernel.kind == "tabulated" else hv
+    if np.any(signs < 0.0):
         probes_ok = False
-        warnings.append("kernel takes negative values on the probe grid")
+        warnings.append("kernel takes negative values on [0, T]")
     if kernel.kind == "exponential":
         # h' must match central differences of h to 1e-6 relative
         eps = 1e-6 * max(T, 1.0)

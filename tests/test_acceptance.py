@@ -83,9 +83,9 @@ def test_criterion_02_lln(explin_fine):
 def test_criterion_03_scalar_clt(explin_fine):
     t0 = time.perf_counter()
     coarse = solve_mean(EXP_KERNEL, AFFINE_RATE, 1.0, 1.0 / 256)
-    var_dense = limit_mean_variance(coarse, EXP_KERNEL, AFFINE_RATE, method="dense")[-1]
-    var_lyap = limit_mean_variance(coarse, EXP_KERNEL, AFFINE_RATE, method="lyapunov")[-1]
-    oracle_rel = abs(var_dense - var_lyap) / var_lyap
+    var_trap = limit_mean_variance(coarse, EXP_KERNEL, AFFINE_RATE, method="trapezoid")
+    var_lyap = limit_mean_variance(coarse, EXP_KERNEL, AFFINE_RATE, method="lyapunov")
+    oracle_rel = abs(var_trap - var_lyap) / var_lyap
     m1 = explin_fine.m_final
     vals = [
         math.sqrt(2000)
@@ -98,7 +98,7 @@ def test_criterion_03_scalar_clt(explin_fine):
     assert _report(
         3,
         ok,
-        f"dense/lyapunov rel diff {oracle_rel:.2e}, empirical/limit variance ratio {ratio:.4f} "
+        f"trapezoid/lyapunov rel diff {oracle_rel:.2e}, empirical/limit variance ratio {ratio:.4f} "
         f"(limit {var_lyap:.4f}), runtime {elapsed:.1f}s",
     )
 

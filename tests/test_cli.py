@@ -396,6 +396,28 @@ def test_couple_scaling_smoke(tmp_path):
     assert len(rows) == 4
 
 
+def test_clt_check_oracle_runs_on_the_solver_grid(tmp_path, monkeypatch):
+    cfg = {**GOLDEN_CONFIGS["field-clt-check"], "N": 50, "replicas": 8, "params": {"band": 0.99}}
+    solves = []
+    real_solve = cli.solve_mean
+    monkeypatch.setattr(cli, "solve_mean", lambda *a: solves.append(a) or real_solve(*a))
+    out = str(tmp_path / "clt")
+    cli.main(["clt-check", "--config", _write(tmp_path, cfg), "--output", out])
+    config = cli.build_config(cfg, "clt-check")
+    mean = real_solve(config.kernel, config.rate, config.T, config.dt)
+    assert mean.grid.n == 1000 and len(solves) == 1
+    assert _summary(out)["limit_variance"] == fluct.limit_mean_variance(mean, config.kernel, config.rate)
+
+
+@pytest.mark.parametrize("state", [99, -1, 1.7])
+def test_field_clt_check_rejects_state_outside_lattice(tmp_path, capsys, state):
+    cfg = {**HOMOG, "params": {"state": state}}
+    out = str(tmp_path / "o")
+    assert cli.main(["field-clt-check", "--config", _write(tmp_path, cfg), "--output", out]) == 2
+    assert "params.state" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_simulate_mf_poisson_kind(tmp_path):
     cfg = dict(HOMOG)
     cfg["params"] = {"kind": "mf_poisson"}

@@ -8,7 +8,6 @@ from hawkes_meanfield.meanfield import limit_law_path, solve_mean
 from hawkes_meanfield.model import Kernel
 from hawkes_meanfield.engine import EventLog, mean_path, simulate_coupled, simulate_hawkes
 from hawkes_meanfield.fluct import (
-    GridTooFineError,
     SpeedSequence,
     _ladder_path,
     centered_field,
@@ -123,21 +122,63 @@ def test_limit_mean_same_seed_identical(exp_kernel, affine_rate):
 
 def test_limit_mean_variance_homogeneous_exact(zero_kernel, const2_rate):
     mean = _coarse_mean(zero_kernel, const2_rate, n=256)
-    v = limit_mean_variance(mean, zero_kernel, const2_rate, method="dense")
-    assert v[-1] == pytest.approx(2.0, abs=1e-12)
-    assert v[128] == pytest.approx(1.0, abs=1e-12)
+    v = limit_mean_variance(mean, zero_kernel, const2_rate, method="trapezoid")
+    assert v == pytest.approx(2.0, abs=1e-12)
+    half = solve_mean(zero_kernel, const2_rate, 0.5, 1.0 / 256)
+    assert limit_mean_variance(half, zero_kernel, const2_rate, method="trapezoid") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_limit_mean_variance_oracles_agree(exp_kernel, affine_rate):
     mean = _coarse_mean(exp_kernel, affine_rate, n=256)
-    vd = limit_mean_variance(mean, exp_kernel, affine_rate, method="dense")
+    vt = limit_mean_variance(mean, exp_kernel, affine_rate, method="trapezoid")
     vl = limit_mean_variance(mean, exp_kernel, affine_rate, method="lyapunov")
-    assert abs(vd[-1] - vl[-1]) / vl[-1] <= 1e-3
+    assert abs(vt - vl) / vl <= 1e-3
 
 
-def test_limit_mean_variance_cap(exp_kernel, affine_rate, explin_mean):
-    with pytest.raises(GridTooFineError):
-        limit_mean_variance(explin_mean, exp_kernel, affine_rate, method="dense")
+def test_limit_mean_variance_has_no_step_cap(exp_kernel, affine_rate, explin_mean):
+    # n = 1000, a grid the O(n^3) covariance propagation used to refuse
+    assert explin_mean.grid.n == 1000
+    vt = limit_mean_variance(explin_mean, exp_kernel, affine_rate, method="trapezoid")
+    vl = limit_mean_variance(explin_mean, exp_kernel, affine_rate, method="lyapunov")
+    assert math.isfinite(vt) and abs(vt - vl) / vl <= 1e-3
+
+
+# Var X_T at T = 1 with phi = 1 + x, recorded from the (n+1)^2 covariance
+# propagation the backward pass replaced; float.hex of each terminal value
+DENSE_VARIANCE_HEX = {
+    ("exp", 100): "0x1.423a345bbc05bp+1",
+    ("exp", 256): "0x1.424c30ed57989p+1",
+    ("exp", 512): "0x1.42508026ef84bp+1",
+    ("tab", 100): "0x1.603f8e2fd465ap+1",
+    ("tab", 256): "0x1.602dd2c68c0e4p+1",
+    ("tab", 512): "0x1.6027c7b862127p+1",
+    ("zero", 100): "0x1.0000000000003p+0",
+    ("zero", 256): "0x1.0000000000000p+0",
+    ("zero", 512): "0x1.0000000000000p+0",
+}
+VARIANCE_KERNELS = {
+    "exp": Kernel.exponential(1.0, 2.0),
+    "tab": Kernel.tabulated((0.0, 0.25, 0.5, 1.0), (1.0, 0.7, 0.4, 0.0)),
+    "zero": Kernel.zero(),
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(DENSE_VARIANCE_HEX))
+def test_trapezoid_variance_matches_covariance_propagation(kind, n, affine_rate):
+    kernel = VARIANCE_KERNELS[kind]
+    v = limit_mean_variance(_coarse_mean(kernel, affine_rate, n), kernel, affine_rate, method="trapezoid")
+    ref = float.fromhex(DENSE_VARIANCE_HEX[(kind, n)])
+    assert abs(v - ref) <= 1e-13 * ref
+
+
+# recorded before the RK4 stages took lam and phi'(c) from one interpolation
+LYAPUNOV_HEX = {256: "0x1.424d2b1217f11p+1", 1000: "0x1.42526932ed78ap+1"}
+
+
+@pytest.mark.parametrize("n", sorted(LYAPUNOV_HEX))
+def test_lyapunov_variance_bits(n, exp_kernel, affine_rate):
+    v = limit_mean_variance(_coarse_mean(exp_kernel, affine_rate, n), exp_kernel, affine_rate, method="lyapunov")
+    assert v.hex() == LYAPUNOV_HEX[n]
 
 
 def test_limit_mean_monte_carlo_homogeneous(zero_kernel, const2_rate):
@@ -156,7 +197,7 @@ def test_limit_mean_monte_carlo_explin(exp_kernel, affine_rate):
         for r in range(2000)
     ]
     coarse = _coarse_mean(exp_kernel, affine_rate, n=256)
-    target = limit_mean_variance(coarse, exp_kernel, affine_rate, method="lyapunov")[-1]
+    target = limit_mean_variance(coarse, exp_kernel, affine_rate, method="lyapunov")
     assert np.var(vals, ddof=1) == pytest.approx(target, rel=0.10)
 
 
@@ -214,7 +255,7 @@ def test_limit_field_matches_limit_mean_in_law(exp_kernel, affine_rate):
         simulate_limit_mean(mean, exp_kernel, affine_rate, seed=derive_seed(44, r))[-1]
         for r in range(600)
     ]
-    ref = limit_mean_variance(_coarse_mean(exp_kernel, affine_rate, 256), exp_kernel, affine_rate)[-1]
+    ref = limit_mean_variance(_coarse_mean(exp_kernel, affine_rate, 256), exp_kernel, affine_rate)
     assert np.var(vf, ddof=1) == pytest.approx(ref, rel=0.20)
     assert np.var(vm, ddof=1) == pytest.approx(ref, rel=0.20)
 

@@ -60,6 +60,15 @@ def test_norms_tabulated_spike_between_probe_points():
     assert rep.passed and rep.stability_margin == pytest.approx(0.325, rel=1e-12)
 
 
+def test_validate_negative_dip_between_probe_points():
+    # h dips to -5 between the points of the T/1000 probe grid (T = 20)
+    dip = Kernel.tabulated([0.0, 0.005, 0.015, 20.0], [0.5, -5.0, 0.5, 0.5])
+    rep = validate_assumptions(dip, RateFn.affine(1.0, 0.05), 20.0)
+    assert rep.stability_margin > 0.0
+    assert not rep.passed
+    assert any("negative" in w for w in rep.warnings)
+
+
 @pytest.mark.parametrize("T, want", [(0.5, (1.0, 0.25)), (2.0, (1.0, 1.0)), (3.0, (1.0, 2.0)), (1.5, (1.0, 0.75))])
 def test_norms_tabulated_sign_changes_and_tail(T, want):
     # |h| is two triangles per segment where h changes sign, and h = 1 past t = 2
