@@ -70,7 +70,9 @@ class TestFunction:
     grad[:, K] set to zero (one-sided zero extension of the gradient at the
     truncation edge, flagged by ``boundary_zeroed``).  No time derivative is
     kept: the quadratures in this module pair value differences instead (see
-    the module docstring).
+    the module docstring).  Both tables are read-only.  A function constant
+    in time (``identity``, ``indicator_geq``) stores one state row, and its
+    tables are ``np.broadcast_to`` views of that row with time stride 0.
     """
 
     grid: TimeGrid
@@ -79,6 +81,12 @@ class TestFunction:
     grad: np.ndarray
     boundary_zeroed: bool = True
 
+    @staticmethod
+    def _grad(v: np.ndarray) -> np.ndarray:
+        grad = np.zeros_like(v)
+        grad[..., :-1] = v[..., 1:] - v[..., :-1]
+        return grad
+
     @classmethod
     def from_values(cls, grid: TimeGrid, K: int, values) -> "TestFunction":
         v = np.array(values, dtype=float)
@@ -86,25 +94,29 @@ class TestFunction:
             raise ValueError(f"values must be (n+1) x (K+1) = {(grid.n + 1, K + 1)}, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("test function values must be finite")
-        grad = np.zeros_like(v)
-        grad[:, :-1] = v[:, 1:] - v[:, :-1]
+        grad = cls._grad(v)
         v.flags.writeable = False
         grad.flags.writeable = False
         return cls(grid=grid, K=K, values=v, grad=grad)
 
     @classmethod
+    def _constant_in_time(cls, grid: TimeGrid, K: int, row: np.ndarray) -> "TestFunction":
+        shape = (grid.n + 1, K + 1)
+        values = np.broadcast_to(row, shape)
+        grad = np.broadcast_to(cls._grad(row), shape)
+        return cls(grid=grid, K=K, values=values, grad=grad)
+
+    @classmethod
     def identity(cls, grid: TimeGrid, K: int) -> "TestFunction":
         """ell(x) = x, the mean-process direction."""
-        v = np.tile(np.arange(K + 1, dtype=float), (grid.n + 1, 1))
-        return cls.from_values(grid, K, v)
+        return cls._constant_in_time(grid, K, np.arange(K + 1, dtype=float))
 
     @classmethod
     def indicator_geq(cls, grid: TimeGrid, K: int, x0: int) -> "TestFunction":
         """1_{x >= x0}, the coordinate-ladder direction probed by uniqueness."""
         if not 0 <= x0 <= K:
             raise ValueError(f"indicator threshold must lie in [0, {K}], got {x0}")
-        v = np.tile((np.arange(K + 1) >= x0).astype(float), (grid.n + 1, 1))
-        return cls.from_values(grid, K, v)
+        return cls._constant_in_time(grid, K, (np.arange(K + 1) >= x0).astype(float))
 
     @classmethod
     def monomial(cls, grid: TimeGrid, K: int, p: int, q: int) -> "TestFunction":
@@ -287,7 +299,7 @@ def solve_linearized(
         raise ValueError("source values must be finite")
     law = limit_law_path(mean, K)[:n]
     source = (gv[:n] * law)[None]
-    return _ladder_path(mean, kernel, rate, law, source, np.zeros_like(source))[0]
+    return _ladder_path(mean, kernel, rate, law, source=source)[0]
 
 
 def linearized_from_test_function(

@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .meanfield import MeanPath, TimeGrid
-from .model import Kernel, RateFn, kernel_norms
+from .model import Kernel, RateFn, _scalar_rate, kernel_norms
 from .rng import MarkStream
 
 __all__ = [
@@ -195,23 +195,49 @@ class _ExpCache:
 
 
 class _GenericCache:
-    # tabulated kernel: exact Stieltjes sum over all recorded jumps, O(#jumps) per call
+    # tabulated kernel: linear between knots g_0 = 0 < ... < g_m, flat past g_m.
+    # Jumps arrive in time order and the walk asks at nondecreasing times, so
+    # the jumps whose lag has passed knot j form a prefix of the jump list,
+    # tracked by one monotone pointer per knot.  Segment j (lags in
+    # [g_j, g_{j+1})) keeps the count c_j and time sum S_j of its jumps, which
+    # give its share of sum_i h(t - t_i) as c_j v_j + s_j (c_j (t - g_j) - S_j);
+    # each jump past g_m adds v_m.  O(knots) a call, amortized.
     def __init__(self, kernel: Kernel, N: int):
-        self.grid = kernel.grid
-        self.values = kernel.values
+        g = kernel.grid.tolist()
+        v = kernel.values.tolist()
+        self.segments = [(g[j], v[j], (v[j + 1] - v[j]) / (g[j + 1] - g[j])) for j in range(len(g) - 1)]
+        self.knots = g[1:]
+        self.tail = v[-1]
+        self.counts = [0] * len(g)  # one per segment, then the jumps past g_m
+        self.sums = [0.0] * len(g)
+        self.passed = [0] * len(self.knots)  # jumps whose lag reached each of g_1..g_m
+        self.times: list[float] = []
         self.inv_n = 1.0 / N
-        self.times = np.empty(256)
-        self.n = 0
 
     def add(self, t: float) -> None:
-        if self.n == self.times.size:
-            self.times = np.concatenate([self.times, np.empty(self.n)])
-        self.times[self.n] = t
-        self.n += 1
+        self.times.append(t)
+        self.counts[0] += 1
+        self.sums[0] += t
 
     def value(self, t: float) -> float:
-        lags = t - self.times[: self.n]
-        return float(np.interp(lags, self.grid, self.values).sum()) * self.inv_n
+        times, counts, sums, passed = self.times, self.counts, self.sums, self.passed
+        n = len(times)
+        for j, g in enumerate(self.knots):
+            p = passed[j]
+            while p < n and t - times[p] >= g:
+                tau = times[p]
+                counts[j] -= 1
+                # an emptied segment restarts its sum at 0, so rounding cannot build up
+                sums[j] = sums[j] - tau if counts[j] else 0.0
+                counts[j + 1] += 1
+                sums[j + 1] += tau
+                p += 1
+            passed[j] = p
+        acc = counts[-1] * self.tail
+        for (g, v, s), c, total in zip(self.segments, counts, sums):
+            if c:
+                acc += c * v + s * (c * (t - g) - total)
+        return acc * self.inv_n
 
 
 def _make_cache(kernel: Kernel, N: int):
@@ -220,16 +246,6 @@ def _make_cache(kernel: Kernel, N: int):
     if kernel.kind == "exponential":
         return _ExpCache(kernel.a, kernel.b, N)
     return _GenericCache(kernel, N)
-
-
-def _scalar_rate(rate: RateFn):
-    if rate.kind == "affine":
-        base, slope = rate.base, rate.slope
-        return lambda x: base + slope * x
-    if rate.kind == "custom":
-        return rate.fn
-    grid, values = rate.grid, rate.values
-    return lambda x: float(np.interp(x, grid, values))
 
 
 def _limit_intensity(mean: MeanPath, t: np.ndarray) -> np.ndarray:

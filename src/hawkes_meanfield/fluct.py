@@ -27,6 +27,7 @@ dynamics of ``deviations``, which replace the noise by a deterministic source.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -72,14 +73,20 @@ class FieldPath:
         """<field_t, w> for a state function w given as K+1 weights."""
         return self.values @ np.asarray(weights, dtype=float)
 
-    def to_csv(self) -> str:
-        """Long-format export, one row per (grid time, state), floats as plain ``repr``."""
+    def to_csv(self) -> bytes:
+        """Long-format export, one row per (grid time, state), floats as plain ``repr``.
+
+        Returns the ASCII bytes of the table.  Each grid time's rows go
+        straight into one byte buffer, so no copy of the whole table is ever
+        held as text and no field-sized list of Python floats is built.
+        """
         states = [f",{x}," for x in range(self.K + 1)]
-        chunks = ["t,x,value\n"]
-        for t, row in zip(self.grid.points.tolist(), self.values.tolist()):
+        buf = io.BytesIO()
+        buf.write(b"t,x,value\n")
+        for t, row in zip(self.grid.points.tolist(), self.values):
             t_repr = repr(t)
-            chunks.append("".join([f"{t_repr}{s}{v!r}\n" for s, v in zip(states, row)]))
-        return "".join(chunks)
+            buf.write("".join([f"{t_repr}{s}{v!r}\n" for s, v in zip(states, row.tolist())]).encode())
+        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -268,9 +275,10 @@ def limit_mean_variance(mean: MeanPath, kernel: Kernel, rate: RateFn, method: st
 
 def _ladder(a: np.ndarray) -> np.ndarray:
     """a(x-1) - a(x) along the last axis, with a(-1) = 0: the birth-ladder difference."""
-    shifted = np.zeros_like(a)
-    shifted[..., 1:] = a[..., :-1]
-    return shifted - a
+    out = np.empty_like(a)
+    np.subtract(0.0, a[..., 0], out=out[..., 0])
+    np.subtract(a[..., :-1], a[..., 1:], out=out[..., 1:])
+    return out
 
 
 def _ladder_path(
@@ -278,8 +286,8 @@ def _ladder_path(
     kernel: Kernel,
     rate: RateFn,
     law: np.ndarray,
-    source: np.ndarray,
-    noise: np.ndarray,
+    source: np.ndarray | None = None,
+    noise: np.ndarray | None = None,
 ) -> list[FieldPath]:
     """Forward-Euler paths of the birth-ladder equation on grid x {0..K}, one per replica.
 
@@ -293,13 +301,15 @@ def _ladder_path(
     per replica (R x n x (K+1)), and the replicas are stepped together.  The
     flux of each forcing out of state K is dropped into the mass defect.  The
     limit field drives the ladder with noise sqrt(Law) xi and the linearized
-    dynamics with the source g Law; each passes zeros for the forcing it does
-    not have.
+    dynamics with the source g Law.  Either forcing may be omitted, not both:
+    an omitted forcing is neither allocated nor added, which gives the bits
+    of an explicit zero block, because X starts at +0.0 and a rounded sum is
+    -0.0 only when both of its terms are.
     """
     grid = mean.grid
     n, dt = grid.n, grid.dt
     K = law.shape[1] - 1
-    R = source.shape[0]
+    R = (noise if source is None else source).shape[0]
     h0 = float(kernel.eval(0.0))
     hp = np.atleast_1d(kernel.deriv(grid.points))
     phid = np.atleast_1d(rate.deriv(mean.excitation))
@@ -309,10 +319,15 @@ def _ladder_path(
     # everything that does not depend on the path, for all steps at once,
     # time-major so that each step reads one contiguous (R, K+1) block
     dlaw = _ladder(law)
-    dsource = np.ascontiguousarray((lam[:n, None] * _ladder(source)).transpose(1, 0, 2))
-    dnoise = np.ascontiguousarray(_ladder(noise).transpose(1, 0, 2))
+    dsource = dnoise = None
+    if source is not None:
+        dsource = _ladder(source)
+        dsource *= lam[:n, None]
+        dsource = np.ascontiguousarray(dsource.transpose(1, 0, 2))
+    if noise is not None:
+        dnoise = np.ascontiguousarray(_ladder(noise).transpose(1, 0, 2))
 
-    values = np.zeros((n + 1, R, K + 1))
+    values = np.zeros((R, n + 1, K + 1))
     conv = np.zeros((n, R))  # H_k of every replica
     mproj = np.zeros((R, n + 1))  # <X, ell> alongside
     x = np.zeros((R, K + 1))
@@ -326,20 +341,25 @@ def _ladder_path(
         for r, (m, _) in enumerate(rows):
             h_k[r] = h0 * m[k] + dt * float(np.dot(back, m[:k]))
         shift_x[:, 1:] = x[:, :-1]
-        x += dt * (lam[k] * (shift_x - x) + (phid[k] * h_k)[:, None] * dlaw[k] + dsource[k])
-        x += math.sqrt(lam[k] * dt) * dnoise[k]
-        values[k + 1] = x
+        drift = lam[k] * (shift_x - x) + (phid[k] * h_k)[:, None] * dlaw[k]
+        if dsource is not None:
+            drift += dsource[k]
+        x += dt * drift
+        if dnoise is not None:
+            x += math.sqrt(lam[k] * dt) * dnoise[k]
+        values[:, k + 1] = x
         for m, row in rows:
             m[k + 1] = states @ row
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=(0, 2)))
     if bad.size:
         raise FloatingPointError(f"birth-ladder path diverged at step {bad[0] - 1}")
-    values = np.ascontiguousarray(values.transpose(1, 0, 2))
     # flux out of state K at every step, summed in step order from +0.0
-    lost = (
-        dt * (lam[:n] * values[:, :n, K] + phid[:n] * conv.T * law[:, K] + lam[:n] * source[:, :, K])
-        + np.sqrt(lam[:n] * dt) * noise[:, :, K]
-    )
+    lost = lam[:n] * values[:, :n, K] + phid[:n] * conv.T * law[:, K]
+    if source is not None:
+        lost += lam[:n] * source[:, :, K]
+    lost *= dt
+    if noise is not None:
+        lost += np.sqrt(lam[:n] * dt) * noise[:, :, K]
     defect = np.cumsum(np.concatenate([np.zeros((R, 1)), lost], axis=1), axis=1)
     values.flags.writeable = False
     defect.flags.writeable = False
@@ -369,7 +389,7 @@ def simulate_limit_field(mean: MeanPath, kernel: Kernel, rate: RateFn, K: int, s
         noise = np.stack([MarkStream(s, 0).normals(n * (K + 1)) for s in seeds[lo : lo + _FIELD_BLOCK]])
         noise = noise.reshape(-1, n, K + 1)
         noise *= root_law  # sqrt(Law) xi
-        block = _ladder_path(mean, kernel, rate, law, np.zeros_like(noise), noise)
+        block = _ladder_path(mean, kernel, rate, law, noise=noise)
         for path in block:
             defect = path.mass_defect[-1]
             if abs(defect) > _DEFECT_THRESHOLD:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Kernel, RateFn
+from .model import Kernel, RateFn, _scalar_rate
 
 __all__ = [
     "TimeGrid",
@@ -149,13 +149,14 @@ def solve_mean(kernel: Kernel, rate: RateFn, T: float, dt: float) -> MeanPath:
     hp = np.atleast_1d(kernel.deriv(grid.points))
 
     # Euler pass; c_k uses the trapezoid rule over the m values known so far
+    phi = _scalar_rate(rate)
     m = np.zeros(n + 1)
     for k in range(n):
         conv = step * (
             float(np.dot(hp[k::-1], m[: k + 1])) - 0.5 * hp[k] * m[0] - 0.5 * hp[0] * m[k]
         )
         c = h0 * m[k] + conv
-        lam = float(rate.eval(c))
+        lam = phi(c)
         if not math.isfinite(lam):
             raise SolverDivergenceError(f"non-finite intensity at step {k} (t={k * step})")
         m[k + 1] = m[k] + step * lam

@@ -190,6 +190,20 @@ class RateFn:
         return float(out) if out.ndim == 0 else out
 
 
+def _scalar_rate(rate: RateFn) -> Callable[[float], float]:
+    """phi as a closure of one float, for loops that call it once a step.
+
+    It gives the bits of ``rate.eval`` without the 0-d array round trip.
+    """
+    if rate.kind == "affine":
+        base, slope = rate.base, rate.slope
+        return lambda x: base + slope * x
+    if rate.kind == "custom":
+        return rate.fn
+    grid, values = rate.grid, rate.values
+    return lambda x: float(np.interp(x, grid, values))
+
+
 @dataclass(frozen=True)
 class AssumptionReport:
     """Outcome of the standing-assumption probe for one (kernel, rate) pair.

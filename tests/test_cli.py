@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,9 +171,13 @@ GOLDEN_CONFIGS = {
         "model": EXPLIN["model"], "T": 1.0, "dt": 0.001, "N": [50, 100, 200], "replicas": 6, "seed": 809,
         "params": {"slope_min": -3.0, "slope_max": 3.0},
     },
+    "mdp-field": {**EXPLIN, "dt": 0.0025},
 }
-# SHA-256 of every artifact, recorded before the thinning walk went to rounds,
-# the event logs to one flat array and the limit-field replicas to one batch
+# SHA-256 of every artifact.  The particle checks' digests were recorded before
+# the thinning walk went to rounds, the event logs to one flat array and the
+# limit-field replicas to one batch; mdp-field's before the time-constant test
+# functions became broadcast views, the ladder's forcing optional and the CSV
+# writer one byte buffer.
 GOLDEN_ARTIFACTS = {
     "field-clt-check": {
         "field_clt_empirical.csv": "07867c26fe4efb5d214d580e9a998251f0f4f4f857680828dc8da0875d544eaa",
@@ -182,6 +187,11 @@ GOLDEN_ARTIFACTS = {
     "couple-scaling": {
         "couple_scaling.csv": "0d3a04175e96845377f6f229d424ed575c4c73a1bfe25c8e8fc2091fd436b071",
         "summary.json": "35612d2cf4b6c9fcb5ddb281789c35f59689f8b107f3177103f1c07d150c8f8a",
+    },
+    "mdp-field": {
+        "mu_field.csv": "e27b0f1681549c1197f2cff8eff93f469d2e6a9f84235471dcf3db07414d2ce0",
+        "mu_projection.csv": "692aa5bb3fbfb6982ba6ee904e624d7a417c05ab0f0ccf137194b757f53bd147",
+        "summary.json": "2a482a9e8f53789c8f56f4c576ac059664850a30bc808a588e1d87f8563c51fb",
     },
 }
 
@@ -346,6 +356,22 @@ def test_mdp_field_summary_golden_bits(tmp_path):
     assert cli.main(["mdp-field", "--config", _write(tmp_path, cfg), "--output", out]) == 0
     s = _summary(out)
     assert {key: float(s[key]).hex() for key in MDP_FIELD_HEX} == MDP_FIELD_HEX
+
+
+def test_mdp_field_peak_memory_is_bounded(tmp_path):
+    # traced peak of the whole run in field-sized arrays of (n+1)(K+1) doubles:
+    # about 14 with time-constant test functions as broadcast rows, a ladder
+    # that allocates only its forcing and a one-buffer CSV; 33 with dense copies
+    cfg = cli.load_config(_write(tmp_path, EXPLIN), "mdp-field")
+    cli.run(cli.load_config(_write(tmp_path, {**EXPLIN, "dt": 0.01}, "warm.json"), "mdp-field"))
+    tracemalloc.start()
+    try:
+        cli.run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    field = (round(cfg.T / cfg.dt) + 1) * (cfg.K + 1) * 8
+    assert peak <= 18 * field, f"peak {peak / field:.1f} field-sized arrays"
 
 
 @pytest.mark.parametrize("subcommand, psis", [("mdp-field", 1), ("mdp-duality", 3)])

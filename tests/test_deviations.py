@@ -353,3 +353,33 @@ def test_shared_functionals_match_per_call_evaluation(kind, seed, count, scale):
             ip = _inner_reference(f, g, mean, SMALL_K)
             assert forms.inner(f, g) == ip
             assert dev.inner(f, g, mean, SMALL_K) == ip
+
+
+def test_time_constant_test_functions_are_read_only_broadcast_rows(explin):
+    _, _, mean = explin
+    for f in (dev.TestFunction.identity(mean.grid, K), dev.TestFunction.indicator_geq(mean.grid, K, 3)):
+        for table in (f.values, f.grad):
+            assert table.shape == (mean.grid.n + 1, K + 1)
+            assert table.strides[0] == 0
+            assert not table.flags.writeable
+        # the dense table the two constructors used to build
+        dense = dev.TestFunction.from_values(mean.grid, K, np.tile(f.values[0], (mean.grid.n + 1, 1)))
+        assert dense.values.tobytes() == np.ascontiguousarray(f.values).tobytes()
+        assert dense.grad.tobytes() == np.ascontiguousarray(f.grad).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(SMALL_MEANS)), seed=st.integers(0, 2**32 - 1), x0=st.integers(0, SMALL_K))
+def test_broadcast_test_functions_give_the_bits_of_dense_copies(kind, seed, x0):
+    kernel, rate, mean = SMALL_MEANS[kind]
+    rng = np.random.default_rng(seed)
+    shape = (mean.grid.n + 1, SMALL_K + 1)
+    mu = dev.solve_linearized(rng.normal(size=shape), mean, kernel, rate, SMALL_K)
+    forms = dev._Functionals(mean, SMALL_K, mu, kernel, rate)
+    g = dev.TestFunction.from_values(mean.grid, SMALL_K, rng.normal(size=shape))
+    for f in (dev.TestFunction.identity(mean.grid, SMALL_K), dev.TestFunction.indicator_geq(mean.grid, SMALL_K, x0)):
+        dense = dev.TestFunction.from_values(mean.grid, SMALL_K, np.tile(f.values[0], (mean.grid.n + 1, 1)))
+        assert forms.upsilon(f) == forms.upsilon(dense)
+        assert forms.inner(f, g) == forms.inner(dense, g)
+        assert forms.inner(g, f) == forms.inner(g, dense)
+        assert forms.inner(f, f) == forms.inner(dense, dense)

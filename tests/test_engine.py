@@ -755,3 +755,33 @@ def test_round_walk_matches_heap_walk(case):
     if mode == "coupled":
         assert event_log_to_bytes(EventLog._from_flat(N, T, *got_mf, 0, mode)) == record(want_mf)
     assert new_draws == ref_draws
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    knots=st.integers(1, 6),
+    dyadic=st.booleans(),
+    N=st.integers(1, 50),
+)
+def test_tabulated_memory_matches_the_interpolated_sum(seed, knots, dyadic, N):
+    # the segment counts and time sums against h interpolated at every jump;
+    # dyadic knots and steps put lags exactly on knots
+    rng = np.random.default_rng(seed)
+    if dyadic:
+        grid = np.concatenate([[0.0], np.sort(rng.choice(np.arange(1, 17), knots, replace=False)) / 8.0])
+        steps = rng.choice([0.0, 0.125, 0.25, 0.5], size=300)
+    else:
+        grid = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 1.5, knots))])
+        steps = rng.exponential(0.02, size=300)
+    kernel = Kernel.tabulated(grid, rng.uniform(-0.5, 2.0, knots + 1))
+    memory, reference = engine._make_cache(kernel, N), _RefTabCache(kernel, N)
+    t = 0.0
+    for step, jump in zip(steps.tolist(), (rng.random(300) < 0.6).tolist()):
+        t += step
+        want = reference.value(t)
+        scale = (len(reference.times) + 1) * float(np.max(np.abs(kernel.values))) / N
+        assert abs(memory.value(t) - want) <= 1e-12 * scale
+        if jump:
+            memory.add(t)
+            reference.add(t)

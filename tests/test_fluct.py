@@ -212,17 +212,51 @@ def test_limit_field_conservation_and_zero_noise(exp_kernel, affine_rate):
     assert np.all(z.values == 0.0)
 
 
-@pytest.mark.parametrize("kind", ["exp", "tab"])
-def test_ladder_path_without_forcing_is_exactly_zero(kind, exp_kernel, affine_rate):
+@pytest.mark.parametrize(
+    "kind, given",
+    [
+        pytest.param("exp", None, id="exp"),
+        pytest.param("tab", None, id="tab"),
+        pytest.param("exp", "source", id="exp-source-only"),
+        pytest.param("tab", "source", id="tab-source-only"),
+        pytest.param("exp", "noise", id="exp-noise-only"),
+        pytest.param("tab", "noise", id="tab-noise-only"),
+    ],
+)
+def test_ladder_path_without_forcing_is_exactly_zero(kind, given, exp_kernel, affine_rate):
     tab = Kernel.tabulated((0.0, 0.25, 0.5, 1.0), (1.0, 0.7, 0.4, 0.0))
     kernel = exp_kernel if kind == "exp" else tab
     mean = _coarse_mean(kernel, affine_rate, n=200)
     law = limit_law_path(mean, 30)[: mean.grid.n]
-    zeros = np.zeros((1,) + law.shape)
-    path = _ladder_path(mean, kernel, affine_rate, law, zeros, zeros)[0]
-    assert np.all(path.values == 0.0) and np.all(path.mass_defect == 0.0)
-    # +0.0 throughout: a zero forcing adds nothing, not even a sign
-    assert not np.signbit(path.values).any() and not np.signbit(path.mass_defect).any()
+    if given is None:
+        zeros = np.zeros((1,) + law.shape)
+        path = _ladder_path(mean, kernel, affine_rate, law, zeros, zeros)[0]
+        assert np.all(path.values == 0.0) and np.all(path.mass_defect == 0.0)
+        # +0.0 throughout: a zero forcing adds nothing, not even a sign
+        assert not np.signbit(path.values).any() and not np.signbit(path.mass_defect).any()
+        return
+    # an omitted forcing gives the bits of an explicit zero block, over two replicas
+    rng = np.random.default_rng(17)
+    block = rng.normal(size=(2,) + law.shape) * (law if given == "source" else np.sqrt(law))
+    zeros = np.zeros_like(block)
+    pair = (block, zeros) if given == "source" else (zeros, block)
+    explicit = _ladder_path(mean, kernel, affine_rate, law, *pair)
+    omitted = _ladder_path(mean, kernel, affine_rate, law, **{given: block})
+    assert len(omitted) == 2
+    for a, b in zip(explicit, omitted):
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.mass_defect.tobytes() == b.mass_defect.tobytes()
+        assert np.any(b.values != 0.0)
+
+
+def test_field_csv_is_one_byte_table(exp_kernel, affine_rate):
+    mean = _coarse_mean(exp_kernel, affine_rate, n=20)
+    f = simulate_limit_field(mean, exp_kernel, affine_rate, 15, seed=3)
+    data = f.to_csv()
+    assert isinstance(data, bytes)
+    rows = data.decode("ascii").split("\n")
+    assert rows[0] == "t,x,value" and rows[-1] == "" and len(rows) == 2 + 21 * 16
+    assert rows[1 + 16 * 7 + 2] == f"{mean.grid.points.tolist()[7]!r},2,{f.values[7, 2].item()!r}"
 
 
 def test_limit_field_constant_projection_conserved(exp_kernel, affine_rate):
