@@ -17,7 +17,6 @@ from .fluct import (
     FieldPath,
     SpeedSequence,
     centered_field,
-    rescaled_field,
     simulate_limit_mean,
     limit_mean_variance,
     simulate_limit_field,
@@ -38,7 +37,7 @@ __all__ = [
     "TimeGrid", "MeanPath", "solve_mean", "limit_law",
     "EventLog", "CouplingLog", "simulate_hawkes", "simulate_coupled",
     "simulate_perturbed", "mean_path",
-    "FieldPath", "SpeedSequence", "centered_field", "rescaled_field",
+    "FieldPath", "SpeedSequence", "centered_field",
     "simulate_limit_mean", "limit_mean_variance", "simulate_limit_field",
     "TestFunction", "MeanDeviationPath", "rate_mean", "inner", "upsilon",
     "solve_linearized", "rate_field",

@@ -24,42 +24,41 @@ duality becomes a machine-precision identity on the lattice instead of an
 O(dt) approximation.
 
 The linearized solver is the birth-ladder stepper of the fluctuation field
-(``fluct._ladder_path``) driven by the source instead of noise.  ``rate_field``
-is one Galerkin solve (``_galerkin``) over the shared work ``_Functionals``;
-a caller that already holds that work for mu passes it to ``_galerkin``.
+(``fluct._ladder_path``) driven by the source instead of noise.  Read
+backward, the same ladder gives the field rate in closed form: a field mu
+from the stepper carries, at every step, a flux a_k(x) = g_k(x) Law_k(x),
+and on the lattice, over test functions with phi(t, K) = 0 (a constant shift
+is invisible to [., .], and Upsilon sees it only through the truncation flux),
+
+    I(mu) = (1/2) sum_k dt lam_k sum_{x<K} a_k(x)^2 / Law_k(x),
+
+attained at grad phi* = a / Law: the lattice H^{-1}(Law) norm of the
+McKean-Vlasov rate.  ``rate_field`` evaluates it over the shared work
+``_Functionals``; a caller that already holds that work for mu calls its
+``rate`` method.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .fluct import FieldPath, _ladder_path
+from .fluct import FieldPath, _ladder, _ladder_path
 from .meanfield import MeanPath, TimeGrid, limit_law_path
 from .model import Kernel, RateFn
 
 __all__ = [
     "TestFunction",
     "MeanDeviationPath",
-    "GramConditioningError",
     "rate_mean",
     "inner",
     "upsilon",
     "solve_linearized",
     "linearized_from_test_function",
     "rate_field",
-    "default_basis",
 ]
-
-# ridge added to the Gram matrix, relative to its mean diagonal
-_RIDGE_SCALE = 1e-10
-
-
-class GramConditioningError(np.linalg.LinAlgError):
-    """Gram matrix numerically singular even after ridge regularization."""
 
 
 @dataclass(frozen=True)
@@ -84,16 +83,21 @@ class TestFunction:
     @staticmethod
     def _grad(v: np.ndarray) -> np.ndarray:
         grad = np.zeros_like(v)
-        grad[..., :-1] = v[..., 1:] - v[..., :-1]
+        np.subtract(v[..., 1:], v[..., :-1], out=grad[..., :-1])
         return grad
 
     @classmethod
     def from_values(cls, grid: TimeGrid, K: int, values) -> "TestFunction":
-        v = np.array(values, dtype=float)
+        v = np.array(values, dtype=float, order="C")
         if v.shape != (grid.n + 1, K + 1):
             raise ValueError(f"values must be (n+1) x (K+1) = {(grid.n + 1, K + 1)}, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("test function values must be finite")
+        return cls._owning(grid, K, v)
+
+    @classmethod
+    def _owning(cls, grid: TimeGrid, K: int, v: np.ndarray) -> "TestFunction":
+        """Freeze a fresh C-ordered table v, without a copy, and add its gradient."""
         grad = cls._grad(v)
         v.flags.writeable = False
         grad.flags.writeable = False
@@ -123,7 +127,7 @@ class TestFunction:
         """t^p x^q."""
         ts = grid.points[:, None]
         xs = np.arange(K + 1, dtype=float)[None, :]
-        return cls.from_values(grid, K, ts**p * xs**q)
+        return cls._owning(grid, K, ts**p * xs**q)
 
 
 @dataclass(frozen=True)
@@ -210,15 +214,13 @@ def rate_mean(
 
 
 class _Functionals:
-    """The work that [., .] and Upsilon_mu share across test functions.
+    """The work that [., .], Upsilon_mu and I(mu) share across test functions.
 
-    Built once per (mean, K) and, for Upsilon, per field mu: the limit law
-    path, the dt * lam weights and, with mu, the excitation response of
+    Built once per (mean, K) and, for Upsilon and I, per field mu: the limit
+    law path, the dt * lam weights and, with mu, the excitation response of
     <mu, ell> times dt * phi'(c).  ``inner`` and ``upsilon`` then cost one
     contraction per call instead of a law path (and an O(n^2) convolution)
-    per call.  The contractions stay one einsum per pair: stacking a basis
-    into one contraction changes the summation order, and with it the last
-    bits of every rate and residual.
+    per call, and ``rate`` one backward read of mu.
     """
 
     def __init__(
@@ -252,11 +254,57 @@ class _Functionals:
         _check_match(mu.grid, phi.grid, mu.K, phi.K)
         n = mu.grid.n
         v = mu.values
-        term1 = float(v[n] @ phi.values[n])
-        term2 = float(np.einsum("kx,kx->", v[1:], phi.values[1:] - phi.values[:-1])) if n else 0.0
-        term3 = float(np.einsum("k,kx,kx->", self.w, v[:n], phi.grad[:n]))
-        term4 = float(np.einsum("k,kx,kx->", self.w_feedback, self.law, phi.grad[:n]))
-        return term1 - term2 - term3 - term4
+        pairing = float(v[n] @ phi.values[n])
+        # a function constant in time (time stride 0) has no time differences
+        # to pair: the skipped transport term is an exact zero
+        if n and phi.values.strides[0]:
+            pairing -= float(np.einsum("kx,kx->", v[1:], phi.values[1:] - phi.values[:-1]))
+        drift = float(np.einsum("k,kx,kx->", self.w, v[:n], phi.grad[:n]))
+        feedback = float(np.einsum("k,kx,kx->", self.w_feedback, self.law, phi.grad[:n]))
+        return pairing - drift - feedback
+
+    def rate(self) -> tuple[float, np.ndarray]:
+        """I(mu) and grad phi*, read backward off the birth ladder.
+
+        The residual of mu against the unforced ladder (feedback included),
+        mu_{k+1} - mu_k - w_k ladder(mu_k) - w_feedback_k ladder(Law_k), is
+        w_k (a_k(x-1) - a_k(x)) for the flux a_k of the field's source.  It
+        is summed top-down from a_k(K), the mass-defect increment less the
+        two known fluxes out of state K; summed bottom-up, a would cancel
+        against the Poisson tail of Law.  Returns
+        I = (1/2) sum_k w_k sum_{x<K} a_k(x)^2 / Law_k(x), with 0/0 = 0, and
+        grad phi* = a / Law with one row per step and column K zero.  Raises
+        ValueError for a field that is not a ladder solution: an empirical
+        field (``overflow`` set), one that does not start at zero, or one
+        with flux at a state the law does not reach.
+        """
+        mu, law, w, K = self.mu, self.law, self.w, self.K
+        if mu.overflow is not None:
+            raise ValueError("an empirical field is not a birth-ladder solution")
+        v = mu.values
+        if np.any(v[0] != 0.0):
+            raise ValueError("a birth-ladder solution starts at zero")
+        # (a_k(x-1) - a_k(x)) for every step and state
+        step = _ladder(v[:-1])
+        step *= -w[:, None]
+        step += v[1:]
+        step -= v[:-1]
+        feedback = _ladder(law)
+        feedback *= self.w_feedback[:, None]
+        step -= feedback
+        del feedback
+        step /= w[:, None]
+        top = (np.diff(mu.mass_defect) - w * v[:-1, K] - self.w_feedback * law[:, K]) / w
+        # a_k(x) = a_k(K) + sum_{y > x} (a_k(y-1) - a_k(y)) for x < K
+        flux = np.cumsum(step[:, :0:-1], axis=1)[:, ::-1]
+        del step
+        flux += top[:, None]
+        reached = law[:, :K] > 0.0
+        if np.any(flux[~reached] != 0.0):
+            raise ValueError("the field carries flux at a state the limit law does not reach")
+        grad = np.zeros_like(law)
+        np.divide(flux, law[:, :K], out=grad[:, :K], where=reached)
+        return 0.5 * float(np.einsum("k,kx,kx->", w, flux, grad[:, :K])), grad
 
 
 def inner(f: TestFunction, g: TestFunction, mean: MeanPath, K: int) -> float:
@@ -309,61 +357,14 @@ def linearized_from_test_function(
     return solve_linearized(psi.grad, mean, kernel, rate, psi.K)
 
 
-def _galerkin(forms: _Functionals, basis: Sequence[TestFunction]) -> tuple[float, np.ndarray]:
-    """Solve (G + ridge I) c = b with G_ij = [phi_i, phi_j], b_i = Upsilon_mu(phi_i).
-
-    Returns (b . c / 2, c); ``forms`` carries the field mu.
-    """
-    if len(basis) < 1:
-        raise ValueError("rate_field needs a nonempty basis")
-    d = len(basis)
-    G = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            G[i, j] = G[j, i] = forms.inner(basis[i], basis[j])
-    b = np.array([forms.upsilon(phi) for phi in basis])
-    ridge = _RIDGE_SCALE * float(np.trace(G)) / d
-    A = G + ridge * np.eye(d)
-    try:
-        c = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise GramConditioningError(
-            f"Gram matrix singular after ridge {ridge:.3e}; cond(G)={np.linalg.cond(G):.3e}"
-        ) from exc
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise GramConditioningError(
-            f"Gram matrix ill-conditioned after ridge {ridge:.3e}: cond={cond:.3e}"
-        )
-    return max(0.5 * float(b @ c), 0.0), c
-
-
 def rate_field(
-    mu: FieldPath,
-    basis: Sequence[TestFunction],
-    mean: MeanPath,
-    kernel: Kernel,
-    rate: RateFn,
+    mu: FieldPath, mean: MeanPath, kernel: Kernel, rate: RateFn
 ) -> tuple[float, np.ndarray]:
-    """Galerkin lower bound on the field rate I(mu) over span(basis).
+    """The field rate I(mu) and the gradient of its maximizer, in closed form.
 
-    Returns (b . c / 2, c) for the ridge-regularized Gram system of the
-    basis.  Exact whenever the Riesz representative of Upsilon_mu lies in the
-    span; a lower bound otherwise.
+    Returns (I, grad phi*) with I = (1/2) sum_k dt lam_k sum_{x<K}
+    a_k(x)^2 / Law_k(x) for the flux a of mu's source and grad phi* = a / Law,
+    one row per grid step with column K zero.  Raises ValueError for a field
+    that is not a birth-ladder solution, such as an empirical one.
     """
-    return _galerkin(_Functionals(mean, mu.K, mu, kernel, rate), basis)
-
-
-def default_basis(
-    grid: TimeGrid,
-    K: int,
-    indicators: int = 5,
-    monomials: Sequence[tuple[int, int]] = ((1, 1), (0, 2), (2, 1)),
-) -> list[TestFunction]:
-    """Identity direction, coordinate ladder indicators, and low-order monomials."""
-    fam = [TestFunction.identity(grid, K)]
-    for x0 in range(1, min(indicators, K) + 1):
-        fam.append(TestFunction.indicator_geq(grid, K, x0))
-    for p, q in monomials:
-        fam.append(TestFunction.monomial(grid, K, p, q))
-    return fam
+    return _Functionals(mean, mu.K, mu, kernel, rate).rate()

@@ -42,7 +42,6 @@ __all__ = [
     "FieldPath",
     "SpeedSequence",
     "centered_field",
-    "rescaled_field",
     "simulate_limit_mean",
     "limit_mean_variance",
     "simulate_limit_field",
@@ -135,17 +134,6 @@ def centered_field(log: EventLog, mean: MeanPath, K: int) -> FieldPath:
     defect.flags.writeable = False
     overflow.flags.writeable = False
     return FieldPath(grid=mean.grid, K=K, values=values, mass_defect=defect, overflow=overflow)
-
-
-def rescaled_field(log: EventLog, mean: MeanPath, K: int, speed: SpeedSequence) -> FieldPath:
-    """Centered field divided by the speed a(N); the moderate-deviation object."""
-    base = centered_field(log, mean, K)
-    a = speed.a(log.N)
-    values = base.values / a
-    defect = base.mass_defect / a
-    values.flags.writeable = False
-    defect.flags.writeable = False
-    return FieldPath(grid=base.grid, K=K, values=values, mass_defect=defect, overflow=base.overflow)
 
 
 def simulate_limit_mean(mean: MeanPath, kernel: Kernel, rate: RateFn, seed: int) -> np.ndarray:

@@ -12,7 +12,6 @@ from hawkes_meanfield.fluct import (
     _ladder_path,
     centered_field,
     limit_mean_variance,
-    rescaled_field,
     simulate_limit_field,
     simulate_limit_mean,
 )
@@ -94,16 +93,6 @@ def test_projection_identity(exp_kernel, affine_rate, explin_mean):
     direct = math.sqrt(N) * (zbar - explin_mean.m)
     correction = math.sqrt(N) * (explin_mean.m - law @ states)
     assert np.max(np.abs(proj - correction - direct)) <= 1e-10
-
-
-def test_rescaled_field_is_linear_scaling(exp_kernel, affine_rate, explin_mean):
-    log = simulate_hawkes(16, exp_kernel, affine_rate, 1.0, seed=17)
-    base = centered_field(log, explin_mean, 30)
-    speed = SpeedSequence(gamma=0.25)
-    assert speed.a(16) == pytest.approx(2.0)
-    scaled = rescaled_field(log, explin_mean, 30, speed)
-    assert np.allclose(scaled.values, base.values / 2.0, atol=0)
-    assert np.max(np.abs(scaled.values)) == pytest.approx(np.max(np.abs(base.values)) / 2.0)
 
 
 def test_speed_sequence_validation():
