@@ -11,7 +11,6 @@ from .engine import (
     simulate_hawkes,
     simulate_coupled,
     simulate_perturbed,
-    mean_path,
 )
 from .fluct import (
     FieldPath,
@@ -36,7 +35,7 @@ __all__ = [
     "Kernel", "RateFn", "kernel_norms", "validate_assumptions",
     "TimeGrid", "MeanPath", "solve_mean", "limit_law",
     "EventLog", "CouplingLog", "simulate_hawkes", "simulate_coupled",
-    "simulate_perturbed", "mean_path",
+    "simulate_perturbed",
     "FieldPath", "SpeedSequence", "centered_field",
     "simulate_limit_mean", "limit_mean_variance", "simulate_limit_field",
     "TestFunction", "MeanDeviationPath", "rate_mean", "inner", "upsilon",

@@ -21,7 +21,9 @@ a field mu solved from source g the identity Upsilon_mu(phi) = sum_k dt
 lam_k <g_k Law_k, grad phi_k> holds to rounding (plus truncation flux, which
 is Poisson-tail small).  With g = grad psi that sum IS [psi, phi]: the Riesz
 duality becomes a machine-precision identity on the lattice instead of an
-O(dt) approximation.
+O(dt) approximation.  The excitation in the stepper, in J and in Upsilon is
+one quadrature by construction: each pushes its path through a
+``meanfield.Excitation`` memory.
 
 The linearized solver is the birth-ladder stepper of the fluctuation field
 (``fluct._ladder_path``) driven by the source instead of noise.  Read
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluct import FieldPath, _ladder, _ladder_path
-from .meanfield import MeanPath, TimeGrid, limit_law_path
+from .meanfield import Excitation, MeanPath, TimeGrid, limit_law_path
 from .model import Kernel, RateFn
 
 __all__ = [
@@ -168,21 +170,6 @@ class MeanDeviationPath:
         return cls(grid=grid, eta=v, eta_deriv=d, ac_flag=True)
 
 
-def _excitation_left(kernel: Kernel, grid: TimeGrid, f: np.ndarray) -> np.ndarray:
-    """H_k = h(0) f_k + dt sum_{j<k} h'(t_k - t_j) f_j for all k (left-rectangle).
-
-    This is the quadrature the explicit steppers use; the rate functionals
-    must reuse it verbatim for the discrete duality to hold.
-    """
-    n = grid.n
-    if n == 0:
-        return np.zeros(1) + float(kernel.eval(0.0)) * f
-    h0 = float(kernel.eval(0.0))
-    hp = np.atleast_1d(kernel.deriv(grid.points))
-    full = np.convolve(hp, f)[: n + 1]
-    return h0 * f + grid.dt * (full - hp[0] * f)
-
-
 def _check_match(a_grid: TimeGrid, b_grid: TimeGrid, a_K: int, b_K: int) -> None:
     if a_grid.n != b_grid.n or abs(a_grid.dt - b_grid.dt) > 1e-12 * max(1.0, a_grid.dt):
         raise ValueError("mismatched time discretizations")
@@ -208,7 +195,7 @@ def rate_mean(
     if np.any(lam <= 0.0):
         raise ValueError("limit intensity must be positive; the model violates its floor")
     phid = np.atleast_1d(rate.deriv(mean.excitation))[:n]
-    conv = _excitation_left(kernel, eta.grid, eta.eta)[:n]
+    conv = Excitation.path(kernel, eta.grid, eta.eta[:n])
     num = eta.eta_deriv - phid * conv
     return 0.5 * float(np.sum(dt * num * num / lam))
 
@@ -239,7 +226,7 @@ class _Functionals:
         self.w = dt * mean.lam[:n]
         if mu is not None:
             states = np.arange(K + 1, dtype=float)
-            conv = _excitation_left(kernel, mu.grid, mu.values @ states)[:n]
+            conv = Excitation.path(kernel, mu.grid, (mu.values @ states)[:n])
             phid = np.atleast_1d(rate.deriv(mean.excitation))[:n]
             self.w_feedback = dt * phid * conv
 

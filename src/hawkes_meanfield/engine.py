@@ -59,7 +59,6 @@ __all__ = [
     "simulate_hawkes",
     "simulate_coupled",
     "simulate_perturbed",
-    "mean_path",
     "sup_path_difference",
     "event_log_to_bytes",
     "event_log_from_bytes",
@@ -523,14 +522,6 @@ def simulate_perturbed(
         "perturbed", N, kernel, rate, T, seed, grad_psi=grad, psi_grid=psi_grid, tilt=float(tilt)
     )
     return EventLog._from_flat(N, T, *flat, seed, "perturbed")
-
-
-def mean_path(log: EventLog, grid: TimeGrid) -> np.ndarray:
-    """Empirical mean count Zbar(t_k) = N^-1 sum_i count_i(t_k) on the grid."""
-    if abs(grid.T - log.T) > 1e-9 * max(1.0, log.T):
-        raise ValueError(f"grid horizon {grid.T} does not match log horizon {log.T}")
-    allj = np.sort(log.times)
-    return np.searchsorted(allj, grid.points, side="right") / log.N
 
 
 def sup_path_difference(a: EventLog, b: EventLog) -> np.ndarray:

@@ -23,6 +23,8 @@ limits are simulated here on a truncated state lattice {0..K}:
 
 The birth-ladder stepper ``_ladder_path`` is shared with the linearized
 dynamics of ``deviations``, which replace the noise by a deterministic source.
+It and the scalar SDE read int h d<X, ell> from a ``meanfield.Excitation``
+memory, one push per step: O(1) for exponential kernels.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EventLog
-from .meanfield import MeanPath, TruncationError, limit_law, limit_law_path
+from .meanfield import Excitation, MeanPath, TruncationError, limit_law, limit_law_path
 from .model import Kernel, RateFn
 from .rng import MarkStream
 
@@ -146,14 +148,12 @@ def simulate_limit_mean(mean: MeanPath, kernel: Kernel, rate: RateFn, seed: int)
     n, dt = grid.n, grid.dt
     if n == 0:
         return np.zeros(1)
-    h0 = float(kernel.eval(0.0))
-    hp = np.atleast_1d(kernel.deriv(grid.points))
+    memory = Excitation(kernel, grid)
     phid = np.atleast_1d(rate.deriv(mean.excitation))
     xi = MarkStream(seed, 0).normals(n)
     x = np.zeros(n + 1)
     for k in range(n):
-        conv = h0 * x[k] + dt * float(np.dot(hp[k:0:-1], x[:k]))
-        x[k + 1] = x[k] + dt * phid[k] * conv + math.sqrt(mean.lam[k] * dt) * xi[k]
+        x[k + 1] = x[k] + dt * phid[k] * memory.push(x[k]) + math.sqrt(mean.lam[k] * dt) * xi[k]
         if not math.isfinite(x[k + 1]):
             raise FloatingPointError(f"limit-mean path diverged at step {k}")
     return x
@@ -298,8 +298,6 @@ def _ladder_path(
     n, dt = grid.n, grid.dt
     K = law.shape[1] - 1
     R = (noise if source is None else source).shape[0]
-    h0 = float(kernel.eval(0.0))
-    hp = np.atleast_1d(kernel.deriv(grid.points))
     phid = np.atleast_1d(rate.deriv(mean.excitation))
     lam = mean.lam
     states = np.arange(K + 1, dtype=float)
@@ -317,27 +315,20 @@ def _ladder_path(
 
     values = np.zeros((R, n + 1, K + 1))
     conv = np.zeros((n, R))  # H_k of every replica
-    mproj = np.zeros((R, n + 1))  # <X, ell> alongside
+    memory = Excitation(kernel, grid, replicas=R)
     x = np.zeros((R, K + 1))
     shift_x = np.zeros((R, K + 1))
-    # each replica's row of mproj and of x; x is updated in place, so the views stay live
-    rows = list(zip(mproj, x))
     for k in range(n):
-        # one np.dot per replica: a batched contraction would sum in another order
-        back = hp[k:0:-1]
-        h_k = conv[k]
-        for r, (m, _) in enumerate(rows):
-            h_k[r] = h0 * m[k] + dt * float(np.dot(back, m[:k]))
+        # <X_k, ell> row by row: a batched product would sum in another order
+        conv[k] = memory.push(np.array([states @ row for row in x]))
         shift_x[:, 1:] = x[:, :-1]
-        drift = lam[k] * (shift_x - x) + (phid[k] * h_k)[:, None] * dlaw[k]
+        drift = lam[k] * (shift_x - x) + (phid[k] * conv[k])[:, None] * dlaw[k]
         if dsource is not None:
             drift += dsource[k]
         x += dt * drift
         if dnoise is not None:
             x += math.sqrt(lam[k] * dt) * dnoise[k]
         values[:, k + 1] = x
-        for m, row in rows:
-            m[k + 1] = states @ row
     bad = np.flatnonzero(~np.isfinite(values).all(axis=(0, 2)))
     if bad.size:
         raise FloatingPointError(f"birth-ladder path diverged at step {bad[0] - 1}")

@@ -25,6 +25,7 @@ __all__ = [
     "TimeGrid",
     "MeanPath",
     "LimitLaw",
+    "Excitation",
     "SolverDivergenceError",
     "TruncationError",
     "solve_mean",
@@ -35,6 +36,8 @@ __all__ = [
 
 # Poisson tail mass beyond K above which the truncated law is refused
 _TAIL_THRESHOLD = 1e-8
+# excitation below -tol * max|excitation| is refused as quadrature failure
+_EXCITATION_TOL = 1e-9
 
 
 class SolverDivergenceError(RuntimeError):
@@ -112,21 +115,57 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _excitation_trapezoid(kernel: Kernel, grid: TimeGrid, f: np.ndarray) -> np.ndarray:
-    """c_k = h(0) f_k + int_0^{t_k} h'(t_k - s) f_s ds, trapezoid rule, all k.
+class Excitation:
+    """Causal excitation memory on a grid: the one forward quadrature of int h(t-s) dX_s.
 
-    Integration-by-parts form of int h(t-s) df_s for a grid path with f_0 = 0;
-    avoids differentiating the path itself.
+    Each ``push(f_k)``, in grid order from k = 0, returns
+
+        H_k = h(0) f_k + dt sum_{j<k} h'(t_k - t_j) f_j,
+
+    the integration-by-parts form of int_0^{t_k} h(t_k - s) df_s under the
+    left-rectangle rule, for a path with f_0 = 0.  ``f_k`` is a float, or one
+    value per replica when ``replicas`` is given.  An exponential kernel keeps
+    the decayed sum S_k = sum_{j<k} e^{-b(t_k - t_j)} f_j, so a push costs
+    O(1) (Oakes 1975); zero and constant kernels have h' = 0 and keep nothing;
+    a tabulated kernel keeps the history and takes one dot product per
+    replica, O(k) per push.
     """
-    n = grid.n
-    if n == 0:
-        return np.zeros(1)
-    h0 = float(kernel.eval(0.0))
-    hp = np.atleast_1d(kernel.deriv(grid.points))
-    # trapezoid: endpoint weights 1/2 at j=0 and j=k; f_0 = 0 kills the j=0 term
-    full = np.convolve(hp, f)[: n + 1]
-    corr = 0.5 * (hp * f[0] + hp[0] * f)  # halve the two endpoint terms
-    return h0 * f + grid.dt * (full - corr)
+
+    def __init__(self, kernel: Kernel, grid: TimeGrid, replicas: int | None = None):
+        self._kind = kernel.kind
+        self._h0 = float(kernel.eval(0.0))
+        if self._kind == "exponential":
+            self._decay = math.exp(-kernel.b * grid.dt)
+            self._lag = grid.dt * float(kernel.deriv(0.0))
+            self._sum = 0.0 if replicas is None else np.zeros(replicas)
+        elif self._kind == "tabulated":
+            self._dt, self._k = grid.dt, 0
+            self._hp = np.atleast_1d(kernel.deriv(grid.points))
+            self._scalar = replicas is None
+            self._hist = np.zeros((1 if replicas is None else replicas, grid.n + 1))
+
+    def push(self, f):
+        """H_k for the next grid value f_k of the path."""
+        if self._kind == "exponential":
+            out = self._h0 * f + self._lag * self._sum
+            self._sum = self._decay * (self._sum + f)
+            return out
+        if self._kind != "tabulated":
+            return self._h0 * f
+        k = self._k
+        self._k += 1
+        hist = self._hist
+        hist[:, k] = f
+        # one np.dot per replica: a batched contraction would sum in another order
+        back = self._hp[k:0:-1]
+        mem = [float(np.dot(back, row[:k])) for row in hist]
+        return self._h0 * f + self._dt * (mem[0] if self._scalar else np.array(mem))
+
+    @classmethod
+    def path(cls, kernel: Kernel, grid: TimeGrid, f: np.ndarray) -> np.ndarray:
+        """H_k for every value of a grid path f (f_0 = 0), one push each."""
+        memory = cls(kernel, grid)
+        return np.array([memory.push(v) for v in np.asarray(f, dtype=float).tolist()])
 
 
 def solve_mean(kernel: Kernel, rate: RateFn, T: float, dt: float) -> MeanPath:
@@ -135,7 +174,13 @@ def solve_mean(kernel: Kernel, rate: RateFn, T: float, dt: float) -> MeanPath:
     Explicit Euler stepping m_{k+1} = m_k + dt * phi(c_k) generates a first
     pass; one Picard sweep reintegrates the intensity with the trapezoid rule,
     and the returned lambda is recomputed from the corrected mean so that
-    lambda_k = phi(excitation_k) holds exactly.
+    lambda_k = phi(excitation_k) holds exactly.  The excitation c_k is the
+    trapezoid rule, which for a path with f_0 = 0 is the ``Excitation`` left
+    rule plus dt h'(0) f_k / 2.  Raises SolverDivergenceError when lambda is
+    not positive and finite, or, for h >= 0, when c dips below
+    -_EXCITATION_TOL times its largest magnitude so far: the exact c is then
+    nonnegative, so such a dip is quadrature failure (a kernel that varies
+    much faster than dt), not rounding.
     """
     if T == 0.0:
         grid = TimeGrid.from_T_dt(0.0, dt)
@@ -145,33 +190,35 @@ def solve_mean(kernel: Kernel, rate: RateFn, T: float, dt: float) -> MeanPath:
         raise ValueError(f"solve_mean needs dt <= T/10, got dt={dt}, T={T}")
     grid = TimeGrid.from_T_dt(T, dt)
     n, step = grid.n, grid.dt
-    h0 = float(kernel.eval(0.0))
-    hp = np.atleast_1d(kernel.deriv(grid.points))
+    half = 0.5 * step * float(kernel.deriv(0.0))
+    tol = _EXCITATION_TOL if kernel.kind != "tabulated" or np.all(kernel.values >= 0.0) else math.inf
 
-    # Euler pass; c_k uses the trapezoid rule over the m values known so far
+    def fail(lam, c, k):
+        raise SolverDivergenceError(f"intensity {lam:.6g} at excitation {c:.6g}, step {k} (t={k * step})")
+
+    # Euler pass
     phi = _scalar_rate(rate)
+    memory = Excitation(kernel, grid)
     m = np.zeros(n + 1)
+    mk = peak = 0.0
     for k in range(n):
-        conv = step * (
-            float(np.dot(hp[k::-1], m[: k + 1])) - 0.5 * hp[k] * m[0] - 0.5 * hp[0] * m[k]
-        )
-        c = h0 * m[k] + conv
+        c = memory.push(mk) + half * mk
         lam = phi(c)
-        if not math.isfinite(lam):
-            raise SolverDivergenceError(f"non-finite intensity at step {k} (t={k * step})")
-        m[k + 1] = m[k] + step * lam
+        peak = max(peak, abs(c))
+        if not 0.0 < lam < math.inf or c < -tol * peak:
+            fail(lam, c, k)
+        mk += step * lam
+        m[k + 1] = mk
 
     # Picard sweep: reintegrate lambda(m_euler) with the trapezoid rule
-    lam0 = np.asarray(rate.eval(_excitation_trapezoid(kernel, grid, m)))
-    if not np.all(np.isfinite(lam0)):
-        k_bad = int(np.argmax(~np.isfinite(lam0)))
-        raise SolverDivergenceError(f"non-finite intensity at step {k_bad} (t={k_bad * step})")
+    lam0 = np.asarray(rate.eval(Excitation.path(kernel, grid, m) + half * m))
     cum = np.concatenate([[0.0], np.cumsum(0.5 * step * (lam0[1:] + lam0[:-1]))])
-
-    exc = _excitation_trapezoid(kernel, grid, cum)
+    exc = Excitation.path(kernel, grid, cum) + half * cum
     lam = np.asarray(rate.eval(exc))
-    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(cum))):
-        raise SolverDivergenceError("non-finite value after the Picard sweep")
+    bad = ~np.isfinite(lam) | (lam <= 0.0) | (exc < -tol * np.max(np.abs(exc)))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        fail(lam[k], exc[k], k)
     return MeanPath(grid, _freeze(cum), _freeze(lam), _freeze(exc))
 
 

@@ -128,8 +128,6 @@ class RateFn:
     lipschitz: float = 0.0
     grid: np.ndarray | None = field(default=None, repr=False)
     values: np.ndarray | None = field(default=None, repr=False)
-    fn: Callable[[float], float] | None = field(default=None, repr=False)
-    dfn: Callable[[float], float] | None = field(default=None, repr=False)
 
     @classmethod
     def affine(cls, base: float, slope: float) -> "RateFn":
@@ -160,33 +158,22 @@ class RateFn:
         v.flags.writeable = False
         return cls("tabulated", lipschitz=alpha, grid=g, values=v)
 
-    @classmethod
-    def custom(cls, fn, dfn, lipschitz: float) -> "RateFn":
-        """User-supplied phi and phi' with a declared Lipschitz constant."""
-        if not (lipschitz >= 0.0 and math.isfinite(lipschitz)):
-            raise ValidationError(f"declared Lipschitz constant must be >= 0, got {lipschitz}")
-        return cls("custom", lipschitz=float(lipschitz), fn=fn, dfn=dfn)
-
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "affine":
             out = self.base + self.slope * x
-        elif self.kind == "tabulated":
-            out = np.interp(x, self.grid, self.values)
         else:
-            out = np.vectorize(self.fn, otypes=[float])(x) if x.ndim else np.asarray(self.fn(float(x)))
+            out = np.interp(x, self.grid, self.values)
         return float(out) if out.ndim == 0 else out
 
     def deriv(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "affine":
             out = np.full_like(x, self.slope)
-        elif self.kind == "tabulated":
+        else:
             slopes = np.diff(self.values) / np.diff(self.grid)
             idx = np.clip(np.searchsorted(self.grid, x, side="right") - 1, 0, slopes.size - 1)
             out = np.where(x >= self.grid[-1], 0.0, slopes[idx])
-        else:
-            out = np.vectorize(self.dfn, otypes=[float])(x) if x.ndim else np.asarray(self.dfn(float(x)))
         return float(out) if out.ndim == 0 else out
 
 
@@ -198,8 +185,6 @@ def _scalar_rate(rate: RateFn) -> Callable[[float], float]:
     if rate.kind == "affine":
         base, slope = rate.base, rate.slope
         return lambda x: base + slope * x
-    if rate.kind == "custom":
-        return rate.fn
     grid, values = rate.grid, rate.values
     return lambda x: float(np.interp(x, grid, values))
 
@@ -364,9 +349,7 @@ def kernel_from_dict(d: dict) -> Kernel:
 def rate_to_dict(rate: RateFn) -> dict:
     if rate.kind == "affine":
         return {"type": "affine", "base": rate.base, "slope": rate.slope}
-    if rate.kind == "tabulated":
-        return {"type": "tabulated", "grid": rate.grid.tolist(), "values": rate.values.tolist()}
-    raise ValidationError("custom rate functions do not serialize")
+    return {"type": "tabulated", "grid": rate.grid.tolist(), "values": rate.values.tolist()}
 
 
 def rate_from_dict(d: dict) -> RateFn:

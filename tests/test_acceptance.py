@@ -247,7 +247,11 @@ def test_criterion_09_contraction_consistency():
         mean = solve_mean(kernel, rate, 1.0, 1.0 / 400)
         grid, n = mean.grid, mean.grid.n
         eta = dev.MeanDeviationPath.from_values(grid, np.sin(math.pi * grid.points) + grid.points / 2)
-        excitation = dev._excitation_left(kernel, grid, eta.eta)[:n]
+        # H_k = h(0) eta_k + dt sum_{j<k} h'(t_k - t_j) eta_j through one full
+        # convolution, independent of the excitation memory under test
+        hp = np.atleast_1d(kernel.deriv(grid.points))
+        full = np.convolve(hp, eta.eta)[:n]
+        excitation = kernel.eval(0.0) * eta.eta[:n] + grid.dt * (full - hp[0] * eta.eta[:n])
         phid = np.atleast_1d(rate.deriv(mean.excitation))[:n]
         source = np.zeros((n + 1, K + 1))
         source[:n] = ((eta.eta_deriv - phid * excitation) / mean.lam[:n])[:, None]

@@ -179,10 +179,13 @@ GOLDEN_CONFIGS = {
 # test functions became broadcast views, the ladder's forcing optional and the
 # CSV writer one byte buffer, and its summary when the closed-form field rate
 # replaced the Galerkin lower bound (only ``rate_estimate`` moved).
+# field_clt_spde.csv and all three mdp-field digests were re-recorded when the
+# grid excitation became one shared memory: the floats moved by <= 4.9e-16 of
+# each table's largest magnitude.
 GOLDEN_ARTIFACTS = {
     "field-clt-check": {
         "field_clt_empirical.csv": "07867c26fe4efb5d214d580e9a998251f0f4f4f857680828dc8da0875d544eaa",
-        "field_clt_spde.csv": "1648671c11e26ad934d1c911ebb94fd69a6ae36da77f2e44219c07300d04bfdc",
+        "field_clt_spde.csv": "f29c4cf81644c2e2a554719a126457434608912bb1a559679bd9339ff9a5c000",
         "summary.json": "a52b6b4c44cd835867e570dae28989927400b28ca790dda2b696275db88f1ec3",
     },
     "couple-scaling": {
@@ -190,9 +193,9 @@ GOLDEN_ARTIFACTS = {
         "summary.json": "35612d2cf4b6c9fcb5ddb281789c35f59689f8b107f3177103f1c07d150c8f8a",
     },
     "mdp-field": {
-        "mu_field.csv": "e27b0f1681549c1197f2cff8eff93f469d2e6a9f84235471dcf3db07414d2ce0",
-        "mu_projection.csv": "692aa5bb3fbfb6982ba6ee904e624d7a417c05ab0f0ccf137194b757f53bd147",
-        "summary.json": "7fc8fc4f9ebc3398263da3433192c0a7179b6094b5a6f900b8ee0dfc0597a77f",
+        "mu_field.csv": "bf3967105f3189166080b329f6200426ccff416cfd5fef6e4bc22eba8a2daffa",
+        "mu_projection.csv": "5f806c40f08e382125be13e4ca14b1f6157e82a5e76a190ef93f43d331909217",
+        "summary.json": "df249b9e298cf8b49ca4fe08ced6757f296e5d8d0f77bb037c44632d30e64d70",
     },
 }
 
@@ -343,9 +346,11 @@ def test_mdp_field_and_duality(tmp_path):
 
 # float.hex of the mdp-field summary at dt = 0.0025, recorded before the rate
 # functionals shared their law and convolution; ``rate_estimate`` re-recorded
-# when the closed-form field rate replaced the Galerkin lower bound
+# when the closed-form field rate replaced the Galerkin lower bound, and
+# ``max_duality_residual`` (a rounding residue, 2.5e-15 -> 2.2e-15) when the
+# grid excitation became one shared memory
 MDP_FIELD_HEX = {
-    "max_duality_residual": "0x1.6af3657f665ecp-49",
+    "max_duality_residual": "0x1.3d94f8cf7992fp-49",
     "half_inner_psi_psi": "0x1.5df414fc66cb4p-1",
     "rate_estimate": "0x1.5df414fc66cbcp-1",
 }

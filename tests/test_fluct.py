@@ -6,7 +6,7 @@ import pytest
 
 from hawkes_meanfield.meanfield import limit_law_path, solve_mean
 from hawkes_meanfield.model import Kernel
-from hawkes_meanfield.engine import EventLog, mean_path, simulate_coupled, simulate_hawkes
+from hawkes_meanfield.engine import EventLog, simulate_coupled, simulate_hawkes
 from hawkes_meanfield.fluct import (
     SpeedSequence,
     _ladder_path,
@@ -89,7 +89,8 @@ def test_projection_identity(exp_kernel, affine_rate, explin_mean):
     states = np.arange(K + 1, dtype=float)
     law = limit_law_path(explin_mean, K)
     proj = f.values @ states
-    zbar = mean_path(log, explin_mean.grid)
+    # Zbar(t_k): the mean particle count at each grid time
+    zbar = np.searchsorted(np.sort(log.times), explin_mean.grid.points, side="right") / N
     direct = math.sqrt(N) * (zbar - explin_mean.m)
     correction = math.sqrt(N) * (explin_mean.m - law @ states)
     assert np.max(np.abs(proj - correction - direct)) <= 1e-10
@@ -160,8 +161,10 @@ def test_trapezoid_variance_matches_covariance_propagation(kind, n, affine_rate)
     assert abs(v - ref) <= 1e-13 * ref
 
 
-# recorded before the RK4 stages took lam and phi'(c) from one interpolation
-LYAPUNOV_HEX = {256: "0x1.424d2b1217f11p+1", 1000: "0x1.42526932ed78ap+1"}
+# recorded before the RK4 stages took lam and phi'(c) from one interpolation;
+# n = 1000 re-recorded (one ulp, 1.8e-16) when solve_mean's excitation moved to
+# the shared grid memory
+LYAPUNOV_HEX = {256: "0x1.424d2b1217f11p+1", 1000: "0x1.42526932ed789p+1"}
 
 
 @pytest.mark.parametrize("n", sorted(LYAPUNOV_HEX))
@@ -299,15 +302,18 @@ def test_variance_stable_under_dt_halving(zero_kernel, const2_rate):
 
 
 # recorded before the limit-field stepper took its law ladder and noise ladder
-# out of the loop: the values and the mass defect must keep every bit
+# out of the loop: the values and the mass defect must keep every bit.
+# Re-recorded when solve_mean and the ladder's excitation moved to the shared
+# grid memory: values moved by <= 6.8e-16 of their largest magnitude, and the
+# tabulated ladder keeps every bit given the same mean
 LIMIT_FIELD_SHA256 = {
     "exp": (
-        "14e0d1d88e3d7fcc30f7b21534acc8a22416af8d9e51af7d07f2d370c41b4fdb",
-        "22669a28d24e4a78bf364873eea08e08685bf97b0555bdbf823384ba6424cb42",
+        "510bfe8b03fd3bef95cbad7d2b7f9ed80679162ab0572d459754a8b761d103ea",
+        "0e53790b06a2df18ef5c6aed297bf93c0e2732bf312f17cda6e56638fe5f173c",
     ),
     "tab": (
-        "a6370007e6deee99e9528bf990eaa5656e34fb60bc28e2f8bcabec29a5b8b429",
-        "34b9ca7c20b66cfdbfabdab7dca8408d5e80a60f62916897b27a6ec0d9495799",
+        "62ac2d5d2b6fdedf82c5813c6b0010689cfb050e1e59ea1e8197cc9713da4704",
+        "b5bfa901e71954d9cbe83e174a54bd24b9af8e86b30b8023979e74c7ad0a0015",
     ),
 }
 

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawkes_meanfield.model import Kernel, RateFn
 from hawkes_meanfield.meanfield import (
+    Excitation,
     SolverDivergenceError,
     TimeGrid,
     TruncationError,
-    _excitation_trapezoid,
     limit_law,
     limit_law_path,
     solve_mean,
@@ -78,24 +80,69 @@ def test_dt_precondition():
 
 
 def test_divergent_model_reports_step():
-    # a custom rate that blows up once excitation exceeds a threshold
-    r = RateFn.custom(
-        lambda x: 2.0 if x < 0.25 else float("nan"), lambda x: 0.0, lipschitz=1.0
-    )
-    with pytest.raises(SolverDivergenceError):
-        solve_mean(Kernel.constant(1.0), r, 1.0, 1e-2)
+    # c = 1e300 m overflows on the third step
+    with pytest.raises(SolverDivergenceError, match="step 2 "):
+        solve_mean(Kernel.constant(1e300), RateFn.affine(1.0, 1e10), 1.0, 1e-2)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-4])
+def test_spike_kernel_refuses_a_negative_excitation(dt):
+    # h' jumps by ~2.7e4 at the spike's apex, so the quadrature error
+    # dt * |jump of h'| is O(1) at both steps and drives c below zero,
+    # which a nonnegative h cannot produce
+    spike = Kernel.tabulated([0.0, 0.005, 0.015, 20.0], [0.0, 90.0, 0.0, 0.0])
+    with pytest.raises(SolverDivergenceError, match="excitation -"):
+        solve_mean(spike, RateFn.affine(1.0, 1.0), 20.0, dt)
 
 
 def test_convolve_representations_agree():
-    # the grid convolution solve_mean uses, on a staircase path, against the
-    # exact Stieltjes sum over its atoms
+    # the grid excitation, on a staircase path, against the exact Stieltjes
+    # sum over its atoms: the left rule of the steppers and solve_mean's
+    # trapezoid rule (left plus dt h'(0) f / 2)
     g = TimeGrid.from_T_dt(1.0, 1e-3)
     atoms = [0.123, 0.5, 0.51, 0.87]
     staircase = np.sum(g.points[:, None] >= np.asarray(atoms)[None, :], axis=1).astype(float)
     k = Kernel.exponential(1.0, 2.0)
     exact = float(np.sum(k.eval(1.0 - np.asarray(atoms))))
-    approx = float(_excitation_trapezoid(k, g, staircase)[-1])
-    assert approx == pytest.approx(exact, abs=5e-3)  # quadrature error only
+    left = float(Excitation.path(k, g, staircase)[-1])
+    trapezoid = left + 0.5 * g.dt * k.deriv(0.0) * staircase[-1]
+    assert left == pytest.approx(exact, abs=5e-3)  # quadrature error only
+    assert trapezoid == pytest.approx(exact, abs=5e-3)
+
+
+EXCITATION_KERNELS = {
+    "zero": Kernel.zero(),
+    "constant": Kernel.constant(0.6),
+    "exponential": Kernel.exponential(1.3, 2.5),
+    "tabulated": Kernel.tabulated((0.0, 0.25, 0.5, 1.0), (1.0, 0.7, 0.4, 0.0)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(EXCITATION_KERNELS)),
+    n=st.integers(1, 60),
+    T=st.sampled_from([0.5, 2.0]),
+    replicas=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_excitation_pushes_match_the_direct_sum(kind, n, T, replicas, seed):
+    kernel = EXCITATION_KERNELS[kind]
+    grid = TimeGrid.from_T_dt(T, T / n)
+    f = np.random.default_rng(seed).normal(size=(replicas, n + 1))
+    f[:, 0] = 0.0
+    ts = grid.points
+    h0 = kernel.eval(0.0)
+    batched = Excitation(kernel, grid, replicas=replicas)
+    got = np.array([batched.push(f[:, k]) for k in range(n + 1)]).T
+    for r in range(replicas):
+        single = Excitation(kernel, grid)
+        assert np.array_equal([single.push(v) for v in f[r]], got[r])  # bit for bit
+        for k in range(n + 1):
+            # h'(t_k - t_j) at the grid lag t_{k-j}: a rounded difference could cross a knot
+            terms = grid.dt * np.array([kernel.deriv(ts[k - j]) * f[r, j] for j in range(k)])
+            want = h0 * f[r, k] + float(np.sum(terms))
+            assert abs(got[r, k] - want) <= 1e-12 * (abs(h0 * f[r, k]) + float(np.sum(np.abs(terms))))
 
 
 def test_limit_law_values(homog_mean):
