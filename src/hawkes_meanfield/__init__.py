@@ -18,6 +18,7 @@ from .fluct import (
     centered_field,
     simulate_limit_mean,
     limit_mean_variance,
+    limit_field_variance,
     simulate_limit_field,
 )
 from .deviations import (
@@ -36,8 +37,8 @@ __all__ = [
     "TimeGrid", "MeanPath", "solve_mean", "limit_law",
     "EventLog", "CouplingLog", "simulate_hawkes", "simulate_coupled",
     "simulate_perturbed",
-    "FieldPath", "SpeedSequence", "centered_field",
-    "simulate_limit_mean", "limit_mean_variance", "simulate_limit_field",
+    "FieldPath", "SpeedSequence", "centered_field", "simulate_limit_mean",
+    "limit_mean_variance", "limit_field_variance", "simulate_limit_field",
     "TestFunction", "MeanDeviationPath", "rate_mean", "inner", "upsilon",
     "solve_linearized", "rate_field",
 ]

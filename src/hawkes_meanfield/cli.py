@@ -43,10 +43,10 @@ from .engine import (
     sup_path_difference,
 )
 from .fluct import (
-    _FIELD_BLOCK,
     centered_field,
+    limit_field_variance,
     limit_mean_variance,
-    simulate_limit_field,
+    simulate_limit_field,  # unused here; perfbench's tracer wraps it at this name
 )
 from . import deviations as dev
 from .rng import derive_seed
@@ -88,6 +88,12 @@ class ResultBundle:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _seed(value, source: str) -> int:
+    # the event-log record stores the seed as a u64
+    _require(isinstance(value, int) and 0 <= value < 1 << 64, f"{source} must be an integer in [0, 2**64), got {value!r}")
+    return value
 
 
 def load_config(path: str, subcommand: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -136,8 +142,7 @@ def build_config(raw: dict, subcommand: str, overrides: dict | None = None) -> E
     _require(isinstance(replicas, int) and replicas > 0, "field 'replicas' must be a positive integer")
     gamma = num("gamma", 0.25)
     _require(0.0 < gamma < 0.5, f"field 'gamma' must lie in (0, 1/2), got {gamma}")
-    seed = raw.get("seed", 1)
-    _require(isinstance(seed, int) and seed >= 0, "field 'seed' must be a nonnegative integer")
+    seed = _seed(raw.get("seed", 1), "field 'seed'")
     params = raw.get("params", {})
     _require(isinstance(params, dict), "field 'params' must be an object")
     output = raw.get("output", "results")
@@ -160,12 +165,14 @@ def build_config(raw: dict, subcommand: str, overrides: dict | None = None) -> E
     for key, val in (overrides or {}).items():
         if val is not None:
             setattr(cfg, key, val)
+    cfg.seed = _seed(cfg.seed, "--seed")
     env_seed = os.environ.get("HAWKES_SEED")
     if env_seed is not None:
         try:
-            cfg.seed = int(env_seed)
+            env = int(env_seed)
         except ValueError:
             raise ConfigError(f"HAWKES_SEED must be an integer, got {env_seed!r}") from None
+        cfg.seed = _seed(env, "HAWKES_SEED")
     return cfg
 
 
@@ -269,6 +276,23 @@ def _run_simulate(cfg: ExperimentConfig) -> ResultBundle:
     return ResultBundle(summary=summary, artifacts=art, passed=True)
 
 
+def _variance_ratio(cfg: ExperimentConfig, samples, limit_var: float, band: float, art: dict, **extra) -> ResultBundle:
+    """Pass when the samples' variance over the limit variance lies in 1 +- band."""
+    emp_var = float(np.var(samples, ddof=1))
+    ratio = emp_var / limit_var
+    ok = (1.0 - band) <= ratio <= (1.0 + band)
+    summary = {
+        "provenance": _provenance(cfg),
+        **extra,
+        "empirical_variance": emp_var,
+        "limit_variance": limit_var,
+        "ratio": ratio,
+        "band": band,
+        "pass": ok,
+    }
+    return ResultBundle(summary=summary, artifacts=art, passed=ok)
+
+
 def _run_clt_check(cfg: ExperimentConfig) -> ResultBundle:
     band = float(cfg.params.get("band", 0.10))
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
@@ -279,19 +303,8 @@ def _run_clt_check(cfg: ExperimentConfig) -> ResultBundle:
         cfg.workers,
     )
     x = math.sqrt(cfg.N) * (np.asarray(zbars) - mean.m_final)
-    emp_var = float(np.var(x, ddof=1))
-    ratio = emp_var / limit_var
-    ok = (1.0 - band) <= ratio <= (1.0 + band)
     art = {"clt_samples.csv": _csv("replica,scaled_deviation", enumerate(x.tolist()))}
-    summary = {
-        "provenance": _provenance(cfg),
-        "empirical_variance": emp_var,
-        "limit_variance": limit_var,
-        "ratio": ratio,
-        "band": band,
-        "pass": ok,
-    }
-    return ResultBundle(summary=summary, artifacts=art, passed=ok)
+    return _variance_ratio(cfg, x, limit_var, band, art)
 
 
 def _run_field_clt_check(cfg: ExperimentConfig) -> ResultBundle:
@@ -300,43 +313,14 @@ def _run_field_clt_check(cfg: ExperimentConfig) -> ResultBundle:
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
     K = _auto_K(cfg, mean)
     _require(isinstance(x0, int) and 0 <= x0 <= K, f"params.state must be an integer in [0, K] = [0, {K}], got {x0!r}")
-    field_dt = float(cfg.params.get("field_dt", max(cfg.dt, cfg.T / 100.0)))
-    n = max(int(round(cfg.T / field_dt)), 10)
-    mean_field_grid = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.T / n)
-    field_reps = int(cfg.params.get("field_replicas", cfg.replicas))
-
+    limit_var = limit_field_variance(mean, cfg.kernel, cfg.rate, K, np.eye(K + 1)[x0])
     emp = _pmap(
         functools.partial(_w_field_proj, (cfg.kernel, cfg.rate, cfg.N, cfg.T, cfg.seed, mean, K, x0)),
         cfg.replicas,
         cfg.workers,
     )
-    # the limit-field replicas are stepped together, one block of seeds per
-    # call, keeping only each path's projection so memory stays one block's
-    spde_seed = derive_seed(cfg.seed, 1 << 20)
-    seeds = [derive_seed(spde_seed, rep) for rep in range(field_reps)]
-    spde = []
-    for lo in range(0, field_reps, _FIELD_BLOCK):
-        paths = simulate_limit_field(mean_field_grid, cfg.kernel, cfg.rate, K, seeds[lo : lo + _FIELD_BLOCK])
-        spde += [float(f.values[-1, x0]) for f in paths]
-    emp_var = float(np.var(emp, ddof=1))
-    spde_var = float(np.var(spde, ddof=1))
-    ratio = emp_var / spde_var
-    ok = (1.0 - band) <= ratio <= (1.0 + band)
-    art = {
-        "field_clt_empirical.csv": _csv("replica,projection", enumerate(emp)),
-        "field_clt_spde.csv": _csv("replica,projection", enumerate(spde)),
-    }
-    summary = {
-        "provenance": _provenance(cfg),
-        "state": x0,
-        "K": K,
-        "empirical_variance": emp_var,
-        "spde_variance": spde_var,
-        "ratio": ratio,
-        "band": band,
-        "pass": ok,
-    }
-    return ResultBundle(summary=summary, artifacts=art, passed=ok)
+    art = {"field_clt_empirical.csv": _csv("replica,projection", enumerate(emp))}
+    return _variance_ratio(cfg, emp, limit_var, band, art, state=x0, K=K)
 
 
 def _run_couple_scaling(cfg: ExperimentConfig) -> ResultBundle:
@@ -466,13 +450,13 @@ def _run_mdp_rate(cfg: ExperimentConfig) -> ResultBundle:
     ac = bool(spec.get("ac", True))
     if "csv" in spec:
         try:
-            data = np.loadtxt(spec["csv"], delimiter=",", skiprows=1)
+            data = np.loadtxt(spec["csv"], delimiter=",", skiprows=1, ndmin=2)
         except OSError as exc:
             raise ConfigError(f"cannot read eta csv: {exc}") from exc
+        _require(data.shape[1] == 2, f"eta csv must have two columns (t, eta), got {data.shape[1]}")
         ts, vals = data[:, 0], data[:, 1]
         if ts.shape != mean.grid.points.shape or np.max(np.abs(ts - mean.grid.points)) > 1e-9:
             raise ConfigError("eta csv grid must match the configured (T, dt) grid")
-        eta = dev.MeanDeviationPath.from_values(mean.grid, vals, ac_flag=ac)
     else:
         family = spec.get("family", "linear")
         scale = float(spec.get("scale", 1.0))
@@ -485,7 +469,7 @@ def _run_mdp_rate(cfg: ExperimentConfig) -> ResultBundle:
             vals = scale * np.sin(math.pi * ts / cfg.T)
         else:
             raise ConfigError(f"unknown eta family {family!r}")
-        eta = dev.MeanDeviationPath.from_values(mean.grid, vals, ac_flag=ac)
+    eta = dev.MeanDeviationPath.from_values(mean.grid, vals, ac_flag=ac)
     value = dev.rate_mean(eta, mean, cfg.kernel, cfg.rate)
     art = {"eta.csv": _csv("t,eta", zip(mean.grid.points.tolist(), eta.eta.tolist()))}
     summary = {

@@ -24,7 +24,9 @@ limits are simulated here on a truncated state lattice {0..K}:
 The birth-ladder stepper ``_ladder_path`` is shared with the linearized
 dynamics of ``deviations``, which replace the noise by a deterministic source.
 It and the scalar SDE read int h d<X, ell> from a ``meanfield.Excitation``
-memory, one push per step: O(1) for exponential kernels.
+memory, one push per step: O(1) for exponential kernels.  The variance of a
+projection <X_T, w> of the ladder is exact by one backward pass through the
+same memory, the scheme's adjoint.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "centered_field",
     "simulate_limit_mean",
     "limit_mean_variance",
+    "limit_field_variance",
     "simulate_limit_field",
 ]
 
@@ -243,21 +246,10 @@ def _variance_lyapunov(mean: MeanPath, kernel: Kernel, rate: RateFn) -> float:
     return float(p[0])
 
 
-def limit_mean_variance(mean: MeanPath, kernel: Kernel, rate: RateFn, method: str = "auto") -> float:
-    """Var X_T of the scalar limit SDE, on the mean's own grid.
-
-    ``method`` is "trapezoid" (any kernel, O(n^2) time and O(n) memory),
-    "lyapunov" (exponential kernels only), or "auto" (lyapunov when
-    available).
-    """
-    if method == "auto":
-        method = "lyapunov" if kernel.kind == "exponential" else "trapezoid"
-    if method == "lyapunov":
-        if kernel.kind != "exponential":
-            raise ValueError("the Lyapunov fast path needs an exponential kernel")
+def limit_mean_variance(mean: MeanPath, kernel: Kernel, rate: RateFn) -> float:
+    """Var X_T of the scalar limit SDE on the mean's grid: Lyapunov for exponential kernels, else trapezoid."""
+    if kernel.kind == "exponential":
         return _variance_lyapunov(mean, kernel, rate)
-    if method != "trapezoid":
-        raise ValueError(f"unknown method {method!r}")
     return _variance_trapezoid(mean, kernel, rate)
 
 
@@ -377,3 +369,34 @@ def simulate_limit_field(mean: MeanPath, kernel: Kernel, rate: RateFn, K: int, s
                 )
         paths += block
     return paths[0] if single else paths
+
+
+def limit_field_variance(mean: MeanPath, kernel: Kernel, rate: RateFn, K: int, weights) -> float:
+    """Var <X_T, w> of the birth-ladder scheme that ``simulate_limit_field`` steps.
+
+    X_T is linear in the noises, so one backward pass on the mean's grid gives
+    it exactly.  From p_n = w, with d_k(x) = p_{k+1}(x+1) - p_{k+1}(x) and p(K+1) = 0,
+
+        Var += dt lam_k <Law_k, d_k^2>,  q_k = dt phi'(c_k) <Law_k(x-1) - Law_k(x), p_{k+1}>,
+        p_k = p_{k+1} + dt lam_k d_k + ell (h(0) q_k + dt sum_{j>k} h'(t_j - t_k) q_j),
+
+    where the lag sum is an ``Excitation`` fed q_{n-1}, q_{n-2}, ..., the
+    transpose of its forward left rule.  Raises TruncationError when K is too
+    small for the limit law and ValueError unless ``weights`` is K+1 finite floats.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (K + 1,) or not np.all(np.isfinite(w)):
+        raise ValueError(f"weights must be {K + 1} finite floats, got shape {w.shape}")
+    limit_law(mean, mean.grid.T, K)
+    n, dt, lam = mean.grid.n, mean.grid.dt, mean.lam
+    law = limit_law_path(mean, K)
+    phid = np.atleast_1d(rate.deriv(mean.excitation))
+    states = np.arange(K + 1, dtype=float)
+    memory = Excitation(kernel, mean.grid)
+    p, var = w, 0.0
+    for k in range(n - 1, -1, -1):
+        d = np.append(p[1:], 0.0) - p
+        var += dt * lam[k] * float(law[k] @ (d * d))
+        q = dt * phid[k] * float(_ladder(law[k]) @ p)
+        p = p + dt * lam[k] * d + memory.push(q) * states
+    return float(var)

@@ -136,7 +136,7 @@ def test_clt_check_homogeneous_passes(tmp_path):
 
 DETERMINISM_CASES = {
     "clt-check": HOMOG,
-    "field-clt-check": {**HOMOG, "N": 100, "replicas": 20, "params": {"field_replicas": 40}},
+    "field-clt-check": {**HOMOG, "N": 100, "replicas": 20},
     "couple-scaling": {**EXPLIN, "N": [50, 100, 200], "replicas": 6, "params": {"slope_min": -3.0, "slope_max": 3.0}},
 }
 
@@ -165,7 +165,7 @@ TAB_MODEL = {
 GOLDEN_CONFIGS = {
     "field-clt-check": {
         "model": TAB_MODEL, "T": 1.0, "dt": 0.001, "N": 60, "replicas": 12, "seed": 808,
-        "params": {"field_replicas": 37, "band": 0.9},
+        "params": {"band": 0.9},
     },
     "couple-scaling": {
         "model": EXPLIN["model"], "T": 1.0, "dt": 0.001, "N": [50, 100, 200], "replicas": 6, "seed": 809,
@@ -179,14 +179,16 @@ GOLDEN_CONFIGS = {
 # test functions became broadcast views, the ladder's forcing optional and the
 # CSV writer one byte buffer, and its summary when the closed-form field rate
 # replaced the Galerkin lower bound (only ``rate_estimate`` moved).
-# field_clt_spde.csv and all three mdp-field digests were re-recorded when the
-# grid excitation became one shared memory: the floats moved by <= 4.9e-16 of
-# each table's largest magnitude.
+# All three mdp-field digests were re-recorded when the grid excitation became
+# one shared memory: the floats moved by <= 4.9e-16 of each table's largest
+# magnitude.  The field-clt-check summary was re-recorded when its limit
+# variance became the exact backward pass in place of limit-field replicas
+# (``spde_variance`` -> ``limit_variance``, and its ``ratio``), and
+# field_clt_spde.csv went away; field_clt_empirical.csv kept every byte.
 GOLDEN_ARTIFACTS = {
     "field-clt-check": {
         "field_clt_empirical.csv": "07867c26fe4efb5d214d580e9a998251f0f4f4f857680828dc8da0875d544eaa",
-        "field_clt_spde.csv": "f29c4cf81644c2e2a554719a126457434608912bb1a559679bd9339ff9a5c000",
-        "summary.json": "a52b6b4c44cd835867e570dae28989927400b28ca790dda2b696275db88f1ec3",
+        "summary.json": "62614a817d14561539f95c4d9b40253b59d6ea63287d390f717aca8c12c35830",
     },
     "couple-scaling": {
         "couple_scaling.csv": "0d3a04175e96845377f6f229d424ed575c4c73a1bfe25c8e8fc2091fd436b071",
@@ -414,14 +416,14 @@ def test_field_clt_check_runs(tmp_path):
     cfg = dict(HOMOG)
     cfg["N"] = 400
     cfg["replicas"] = 150
-    cfg["params"] = {"field_replicas": 300, "band": 0.35}
+    cfg["params"] = {"band": 0.35}
     path = _write(tmp_path, cfg)
     out = str(tmp_path / "fclt")
     rc = cli.main(["field-clt-check", "--config", path, "--output", out])
     s = _summary(out)
     assert rc == 0 and s["pass"] is True
-    assert os.path.exists(os.path.join(out, "field_clt_empirical.csv"))
-    assert os.path.exists(os.path.join(out, "field_clt_spde.csv"))
+    assert "limit_variance" in s and "spde_variance" not in s
+    assert sorted(os.listdir(out)) == ["field_clt_empirical.csv", "summary.json"]
 
 
 def test_couple_scaling_smoke(tmp_path):
@@ -451,6 +453,56 @@ def test_clt_check_oracle_runs_on_the_solver_grid(tmp_path, monkeypatch):
     mean = real_solve(config.kernel, config.rate, config.T, config.dt)
     assert mean.grid.n == 1000 and len(solves) == 1
     assert _summary(out)["limit_variance"] == fluct.limit_mean_variance(mean, config.kernel, config.rate)
+
+
+def test_field_clt_check_oracle_runs_on_the_solver_grid(tmp_path, monkeypatch):
+    # the retired knobs field_dt and field_replicas are ignored, and the
+    # limit field is never simulated
+    params = {"band": 0.99, "state": 2, "field_dt": 0.01, "field_replicas": 400}
+    cfg = {**GOLDEN_CONFIGS["field-clt-check"], "N": 50, "replicas": 8, "params": params}
+    solves = []
+    real_solve = cli.solve_mean
+    monkeypatch.setattr(cli, "solve_mean", lambda *a: solves.append(a) or real_solve(*a))
+    monkeypatch.setattr(fluct, "simulate_limit_field", None)
+    monkeypatch.setattr(cli, "simulate_limit_field", None)
+    out = str(tmp_path / "fclt")
+    assert cli.main(["field-clt-check", "--config", _write(tmp_path, cfg), "--output", out]) == 0
+    config = cli.build_config(cfg, "field-clt-check")
+    mean = real_solve(config.kernel, config.rate, config.T, config.dt)
+    assert mean.grid.n == 1000 and len(solves) == 1
+    s = _summary(out)
+    weights = np.eye(s["K"] + 1)[2]
+    assert s["limit_variance"] == fluct.limit_field_variance(mean, config.kernel, config.rate, s["K"], weights)
+    assert s["ratio"] == s["empirical_variance"] / s["limit_variance"]
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_out_of_range_seed_is_a_config_error(tmp_path, monkeypatch, capsys, source):
+    # event logs store the seed as a u64: each seed source is checked before any run
+    cfg, argv = dict(HOMOG), []
+    if source == "flag":
+        argv = ["--seed", "-1"]
+    elif source == "env":
+        monkeypatch.setenv("HAWKES_SEED", "-3")
+    else:
+        cfg["seed"] = 2**64
+    out = str(tmp_path / "o")
+    assert cli.main(["simulate", "--config", _write(tmp_path, cfg), "--output", out, *argv]) == 2
+    assert {"flag": "--seed", "env": "HAWKES_SEED", "config": "field 'seed'"}[source] in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("columns", [2, 1], ids=["one-row", "one-column"])
+def test_mdp_rate_eta_csv_of_wrong_shape_is_a_config_error(tmp_path, capsys, columns):
+    # numpy reads either file as a 1-d array unless asked for a table
+    ts = np.linspace(0.0, 1.0, 11).tolist() if columns == 1 else [0.0]
+    eta = tmp_path / "eta.csv"
+    eta.write_text("t,eta\n" + "".join(",".join([repr(t)] * columns) + "\n" for t in ts))
+    cfg = {**HOMOG, "dt": 0.1, "params": {"eta": {"csv": str(eta)}}}
+    out = str(tmp_path / "o")
+    assert cli.main(["mdp-rate", "--config", _write(tmp_path, cfg), "--output", out]) == 2
+    assert "eta csv" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("state", [99, -1, 1.7])

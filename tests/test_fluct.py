@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from hawkes_meanfield.meanfield import limit_law_path, solve_mean
-from hawkes_meanfield.model import Kernel
+from hawkes_meanfield.meanfield import TruncationError, limit_law_path, solve_mean
+from hawkes_meanfield.model import Kernel, RateFn
 from hawkes_meanfield.engine import EventLog, simulate_coupled, simulate_hawkes
 from hawkes_meanfield.fluct import (
     SpeedSequence,
     _ladder_path,
+    _variance_lyapunov,
+    _variance_trapezoid,
     centered_field,
+    limit_field_variance,
     limit_mean_variance,
     simulate_limit_field,
     simulate_limit_mean,
@@ -112,24 +115,26 @@ def test_limit_mean_same_seed_identical(exp_kernel, affine_rate):
 
 def test_limit_mean_variance_homogeneous_exact(zero_kernel, const2_rate):
     mean = _coarse_mean(zero_kernel, const2_rate, n=256)
-    v = limit_mean_variance(mean, zero_kernel, const2_rate, method="trapezoid")
+    v = _variance_trapezoid(mean, zero_kernel, const2_rate)
     assert v == pytest.approx(2.0, abs=1e-12)
+    assert limit_mean_variance(mean, zero_kernel, const2_rate) == v
     half = solve_mean(zero_kernel, const2_rate, 0.5, 1.0 / 256)
-    assert limit_mean_variance(half, zero_kernel, const2_rate, method="trapezoid") == pytest.approx(1.0, abs=1e-12)
+    assert _variance_trapezoid(half, zero_kernel, const2_rate) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_limit_mean_variance_oracles_agree(exp_kernel, affine_rate):
     mean = _coarse_mean(exp_kernel, affine_rate, n=256)
-    vt = limit_mean_variance(mean, exp_kernel, affine_rate, method="trapezoid")
-    vl = limit_mean_variance(mean, exp_kernel, affine_rate, method="lyapunov")
+    vt = _variance_trapezoid(mean, exp_kernel, affine_rate)
+    vl = _variance_lyapunov(mean, exp_kernel, affine_rate)
     assert abs(vt - vl) / vl <= 1e-3
+    assert limit_mean_variance(mean, exp_kernel, affine_rate) == vl
 
 
 def test_limit_mean_variance_has_no_step_cap(exp_kernel, affine_rate, explin_mean):
     # n = 1000, a grid the O(n^3) covariance propagation used to refuse
     assert explin_mean.grid.n == 1000
-    vt = limit_mean_variance(explin_mean, exp_kernel, affine_rate, method="trapezoid")
-    vl = limit_mean_variance(explin_mean, exp_kernel, affine_rate, method="lyapunov")
+    vt = _variance_trapezoid(explin_mean, exp_kernel, affine_rate)
+    vl = _variance_lyapunov(explin_mean, exp_kernel, affine_rate)
     assert math.isfinite(vt) and abs(vt - vl) / vl <= 1e-3
 
 
@@ -156,7 +161,7 @@ VARIANCE_KERNELS = {
 @pytest.mark.parametrize("kind, n", sorted(DENSE_VARIANCE_HEX))
 def test_trapezoid_variance_matches_covariance_propagation(kind, n, affine_rate):
     kernel = VARIANCE_KERNELS[kind]
-    v = limit_mean_variance(_coarse_mean(kernel, affine_rate, n), kernel, affine_rate, method="trapezoid")
+    v = _variance_trapezoid(_coarse_mean(kernel, affine_rate, n), kernel, affine_rate)
     ref = float.fromhex(DENSE_VARIANCE_HEX[(kind, n)])
     assert abs(v - ref) <= 1e-13 * ref
 
@@ -169,7 +174,7 @@ LYAPUNOV_HEX = {256: "0x1.424d2b1217f11p+1", 1000: "0x1.42526932ed789p+1"}
 
 @pytest.mark.parametrize("n", sorted(LYAPUNOV_HEX))
 def test_lyapunov_variance_bits(n, exp_kernel, affine_rate):
-    v = limit_mean_variance(_coarse_mean(exp_kernel, affine_rate, n), exp_kernel, affine_rate, method="lyapunov")
+    v = _variance_lyapunov(_coarse_mean(exp_kernel, affine_rate, n), exp_kernel, affine_rate)
     assert v.hex() == LYAPUNOV_HEX[n]
 
 
@@ -189,7 +194,7 @@ def test_limit_mean_monte_carlo_explin(exp_kernel, affine_rate):
         for r in range(2000)
     ]
     coarse = _coarse_mean(exp_kernel, affine_rate, n=256)
-    target = limit_mean_variance(coarse, exp_kernel, affine_rate, method="lyapunov")
+    target = _variance_lyapunov(coarse, exp_kernel, affine_rate)
     assert np.var(vals, ddof=1) == pytest.approx(target, rel=0.10)
 
 
@@ -361,3 +366,60 @@ def test_ladder_path_divergence_names_the_first_step_over_replicas(exp_kernel, a
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="at step 5$"):
             _ladder_path(mean, exp_kernel, affine_rate, law, source, np.zeros_like(source))
+
+
+CONCAVE_RATE = RateFn.tabulated((0.0, 0.5, 1.0, 2.0, 4.0), (1.0, 1.8, 2.2, 2.4, 2.5))
+
+
+def _jacobian_variance(mean, kernel, rate, K, w):
+    # Var <X_T, w> summed over the responses to every unit noise xi_k(x), each
+    # stepped forward by the ladder itself: sum over (k, x) of d<X_T, w>/dxi_k(x)^2
+    n = mean.grid.n
+    law = limit_law_path(mean, K)[:n]
+    noise = np.zeros((n * (K + 1), n, K + 1))
+    k, x = np.divmod(np.arange(n * (K + 1)), K + 1)
+    noise[np.arange(n * (K + 1)), k, x] = np.sqrt(law[k, x])
+    return sum(float(p.values[-1] @ w) ** 2 for p in _ladder_path(mean, kernel, rate, law, noise=noise))
+
+
+@pytest.mark.parametrize("rate_kind", ["affine", "concave"])
+@pytest.mark.parametrize("kind", ["exp", "tab"])
+def test_limit_field_variance_is_the_jacobian_sum(kind, rate_kind, exp_kernel, affine_rate):
+    kernel = exp_kernel if kind == "exp" else TAB
+    rate = affine_rate if rate_kind == "affine" else CONCAVE_RATE
+    mean = _coarse_mean(kernel, rate, n=20)
+    K = 13  # the smallest K every case admits, so the flux out of state K matters
+    for w in (np.eye(K + 1)[3], np.sin(np.arange(K + 1.0)) + 0.3):
+        v = limit_field_variance(mean, kernel, rate, K, w)
+        assert type(v) is float
+        assert abs(v - _jacobian_variance(mean, kernel, rate, K, w)) <= 1e-12 * v
+
+
+def test_limit_field_variance_matches_limit_field_monte_carlo(affine_rate):
+    # frozen seeds; the sample variance of R Gaussian draws has SE sqrt(2/(R-1)) Var
+    mean = _coarse_mean(TAB, affine_rate, n=100)
+    K, R = 17, 1000
+    paths = simulate_limit_field(mean, TAB, affine_rate, K, [derive_seed(61, r) for r in range(R)])
+    for w in (np.eye(K + 1)[0], np.sin(np.arange(K + 1.0)) + 0.3):
+        oracle = limit_field_variance(mean, TAB, affine_rate, K, w)
+        sample = float(np.var([f.values[-1] @ w for f in paths], ddof=1))
+        assert abs(sample - oracle) <= 3.0 * math.sqrt(2.0 / (R - 1)) * oracle
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_limit_field_variance_homogeneous_is_first_order(n, zero_kernel, const2_rate):
+    # h = 0: the particles are independent, Var <X_T, 1_{0}> = e^{-m}(1 - e^{-m})
+    # with m = 2, and the Euler ladder is off by about 0.19 dt
+    mean = _coarse_mean(zero_kernel, const2_rate, n=n)
+    p = math.exp(-2.0)
+    v = limit_field_variance(mean, zero_kernel, const2_rate, 25, np.eye(26)[0])
+    assert abs(v - p * (1.0 - p)) <= 0.25 * mean.grid.dt
+
+
+def test_limit_field_variance_refuses_bad_weights_and_small_K(exp_kernel, affine_rate):
+    mean = _coarse_mean(exp_kernel, affine_rate, n=20)
+    for bad in (np.ones(30), np.ones((2, 31)), np.r_[np.ones(30), np.nan]):
+        with pytest.raises(ValueError, match="weights"):
+            limit_field_variance(mean, exp_kernel, affine_rate, 30, bad)
+    with pytest.raises(TruncationError):
+        limit_field_variance(mean, exp_kernel, affine_rate, 8, np.ones(9))
