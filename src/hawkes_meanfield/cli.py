@@ -19,6 +19,7 @@ import multiprocessing
 import os
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,7 @@ from .engine import (
     sup_path_difference,
 )
 from .fluct import (
+    FieldPath,
     centered_field,
     limit_field_variance,
     limit_mean_variance,
@@ -293,7 +295,12 @@ def _variance_ratio(cfg: ExperimentConfig, samples, limit_var: float, band: floa
     return ResultBundle(summary=summary, artifacts=art, passed=ok)
 
 
+def _require_sample_variance(cfg: ExperimentConfig) -> None:
+    _require(cfg.replicas >= 2, f"field 'replicas' must be >= 2 for a sample variance, got {cfg.replicas}")
+
+
 def _run_clt_check(cfg: ExperimentConfig) -> ResultBundle:
+    _require_sample_variance(cfg)
     band = float(cfg.params.get("band", 0.10))
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
     limit_var = limit_mean_variance(mean, cfg.kernel, cfg.rate)
@@ -308,6 +315,7 @@ def _run_clt_check(cfg: ExperimentConfig) -> ResultBundle:
 
 
 def _run_field_clt_check(cfg: ExperimentConfig) -> ResultBundle:
+    _require_sample_variance(cfg)
     band = float(cfg.params.get("band", 0.20))
     x0 = cfg.params.get("state", 0)
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
@@ -425,22 +433,31 @@ def _named_test_function(name: str, grid: TimeGrid, K: int, x0: int = 1) -> dev.
     raise ConfigError(f"unknown test-function family {name!r}")
 
 
-def _probe_basis(grid: TimeGrid, K: int) -> list[dev.TestFunction]:
-    fam = [
-        dev.TestFunction.identity(grid, K),
-        dev.TestFunction.monomial(grid, K, 1, 1),
-        dev.TestFunction.monomial(grid, K, 0, 2),
-        dev.TestFunction.monomial(grid, K, 2, 1),
-    ]
+def _probe_basis(grid: TimeGrid, K: int) -> Iterator[dev.TestFunction]:
+    """The 10 probe directions, built one at a time as they are read."""
+    yield dev.TestFunction.identity(grid, K)
+    for p, q in ((1, 1), (0, 2), (2, 1)):
+        yield dev.TestFunction.monomial(grid, K, p, q)
     for x0 in (1, 2, 3, 4, 5, 6):
-        fam.append(dev.TestFunction.indicator_geq(grid, K, x0))
-    return fam  # 10 directions
+        yield dev.TestFunction.indicator_geq(grid, K, x0)
 
 
-def _duality_residual(forms: dev._Functionals, psi: dev.TestFunction, phi: dev.TestFunction) -> float:
-    """|Upsilon_mu(phi) - [psi, phi]| / (1 + |[psi, phi]|) for mu = mu^psi."""
-    ip = forms.inner(psi, phi)
-    return abs(forms.upsilon(phi) - ip) / (1.0 + abs(ip))
+def _mdp_functionals(
+    psi: dev.TestFunction, mean: MeanPath, K: int, kernel: Kernel, rate: RateFn
+) -> tuple[FieldPath, float, float, float]:
+    """mu = mu^psi with I(mu), (1/2) [psi, psi] and the largest duality residual
+    |Upsilon_mu(phi) - [psi, phi]| / (1 + |[psi, phi]|) over the probe directions.
+
+    The functionals' tables die on return, before a caller renders mu.
+    """
+    mu = dev.linearized_from_test_function(psi, mean, kernel, rate)
+    forms = dev._Functionals(mean, K, mu, kernel, rate)
+    worst = 0.0
+    for phi in _probe_basis(mean.grid, K):
+        ip = forms.inner(psi, phi)
+        worst = max(worst, abs(forms.upsilon(phi) - ip) / (1.0 + abs(ip)))
+        del phi  # so that the next direction is built without this one
+    return mu, forms.rate()[0], 0.5 * forms.inner(psi, psi), worst
 
 
 def _run_mdp_rate(cfg: ExperimentConfig) -> ResultBundle:
@@ -454,6 +471,7 @@ def _run_mdp_rate(cfg: ExperimentConfig) -> ResultBundle:
         except OSError as exc:
             raise ConfigError(f"cannot read eta csv: {exc}") from exc
         _require(data.shape[1] == 2, f"eta csv must have two columns (t, eta), got {data.shape[1]}")
+        _require(bool(np.all(np.isfinite(data))), "eta csv values must be finite")
         ts, vals = data[:, 0], data[:, 1]
         if ts.shape != mean.grid.points.shape or np.max(np.abs(ts - mean.grid.points)) > 1e-9:
             raise ConfigError("eta csv grid must match the configured (T, dt) grid")
@@ -486,22 +504,19 @@ def _run_mdp_field(cfg: ExperimentConfig) -> ResultBundle:
     spec = cfg.params.get("psi", {"family": "identity"})
     _require(isinstance(spec, dict), "params.psi must be an object")
     psi = _named_test_function(spec.get("family", "identity"), mean.grid, K, int(spec.get("x0", 1)))
-    mu = dev.linearized_from_test_function(psi, mean, cfg.kernel, cfg.rate)
+    # the functionals first and the artifacts after them, so the transients of
+    # the rate and of the probes never meet the CSV bytes
+    mu, i_est, half_norm, resid = _mdp_functionals(psi, mean, K, cfg.kernel, cfg.rate)
     proj = mu.values @ np.arange(K + 1, dtype=float)
-    # the artifacts first, then the closed-form rate, then the probes, so the
-    # transients of each stage never meet the tables of the next
     art = {
         "mu_projection.csv": _csv("t,mu_ell", zip(mean.grid.points.tolist(), proj.tolist())),
         "mu_field.csv": mu.to_csv(),
     }
-    forms = dev._Functionals(mean, K, mu, cfg.kernel, cfg.rate)
-    i_est = forms.rate()[0]
-    resid = max(_duality_residual(forms, psi, phi) for phi in _probe_basis(mean.grid, K))
     summary = {
         "provenance": _provenance(cfg),
         "K": K,
         "rate_estimate": i_est,
-        "half_inner_psi_psi": 0.5 * forms.inner(psi, psi),
+        "half_inner_psi_psi": half_norm,
         "max_duality_residual": resid,
         "final_projection": float(proj[-1]),
     }
@@ -514,22 +529,12 @@ def _run_mdp_duality(cfg: ExperimentConfig) -> ResultBundle:
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
     K = _auto_K(cfg, mean)
     grid = mean.grid
-    psis = {
-        "identity": dev.TestFunction.identity(grid, K),
-        "indicator_ge1": dev.TestFunction.indicator_geq(grid, K, 1),
-        "t_identity": dev.TestFunction.monomial(grid, K, 1, 1),
-    }
-    probes = _probe_basis(grid, K)
     rows = []
     all_ok = True
-    for name, psi in psis.items():
-        mu = dev.linearized_from_test_function(psi, mean, cfg.kernel, cfg.rate)
-        forms = dev._Functionals(mean, K, mu, cfg.kernel, cfg.rate)
-        worst = 0.0
-        for phi in probes:
-            worst = max(worst, _duality_residual(forms, psi, phi))
-        half_norm = 0.5 * forms.inner(psi, psi)
-        i_est = forms.rate()[0]
+    # one psi at a time, each with the default threshold x0 = 1 of its family
+    for name, family in (("identity", "identity"), ("indicator_ge1", "indicator"), ("t_identity", "t_identity")):
+        psi = _named_test_function(family, grid, K)
+        i_est, half_norm, worst = _mdp_functionals(psi, mean, K, cfg.kernel, cfg.rate)[1:]
         rel = abs(i_est - half_norm) / half_norm if half_norm > 0 else 0.0
         ok = worst <= resid_tol and rel <= rate_tol
         all_ok = all_ok and ok

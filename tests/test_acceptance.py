@@ -209,7 +209,7 @@ def test_criterion_08_mdp_duality():
     worst_rate = 0.0
     for kernel, rate in ((ZERO_KERNEL, CONST2_RATE), (EXP_KERNEL, AFFINE_RATE)):
         mean = solve_mean(kernel, rate, 1.0, 1.0 / 400)
-        probes = _probe_basis(mean.grid, K)
+        probes = list(_probe_basis(mean.grid, K))
         assert len(probes) == 10
         psis = [
             dev.TestFunction.identity(mean.grid, K),

@@ -377,13 +377,15 @@ def test_mdp_field_rate_is_exact_outside_any_basis(tmp_path):
     assert s["rate_estimate"] == pytest.approx(s["half_inner_psi_psi"], rel=1e-12)
 
 
-def test_mdp_field_peak_memory_is_bounded(tmp_path):
+@pytest.mark.parametrize("subcommand", ["mdp-field", "mdp-duality"])
+def test_mdp_peak_memory_is_bounded(tmp_path, subcommand):
     # traced peak of the whole run in field-sized arrays of (n+1)(K+1) doubles:
-    # about 13.5 with time-constant test functions as broadcast rows, a ladder
-    # that allocates only its forcing, a one-buffer CSV and the closed-form
-    # rate read before the probe directions exist; 33 with dense copies
-    cfg = cli.load_config(_write(tmp_path, EXPLIN), "mdp-field")
-    cli.run(cli.load_config(_write(tmp_path, {**EXPLIN, "dt": 0.01}, "warm.json"), "mdp-field"))
+    # about 5.8 (mdp-field) and 7.3 (mdp-duality, whose last psi is a
+    # time-dependent table) with the functionals dropped before the CSVs are
+    # rendered and the probe directions built one at a time; 13.5 and 15.5
+    # with all ten directions and the CSV bytes alive during the residuals
+    cfg = cli.load_config(_write(tmp_path, EXPLIN), subcommand)
+    cli.run(cli.load_config(_write(tmp_path, {**EXPLIN, "dt": 0.01}, "warm.json"), subcommand))
     tracemalloc.start()
     try:
         cli.run(cfg)
@@ -391,7 +393,7 @@ def test_mdp_field_peak_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     field = (round(cfg.T / cfg.dt) + 1) * (cfg.K + 1) * 8
-    assert peak <= 18 * field, f"peak {peak / field:.1f} field-sized arrays"
+    assert peak <= 9 * field, f"peak {peak / field:.1f} field-sized arrays"
 
 
 @pytest.mark.parametrize("subcommand, psis", [("mdp-field", 1), ("mdp-duality", 3)])
@@ -503,6 +505,54 @@ def test_mdp_rate_eta_csv_of_wrong_shape_is_a_config_error(tmp_path, capsys, col
     assert cli.main(["mdp-rate", "--config", _write(tmp_path, cfg), "--output", out]) == 2
     assert "eta csv" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_mdp_rate_eta_csv_with_non_finite_value_is_a_config_error(tmp_path, capsys):
+    # an undefined path has no rate: it is refused, not reported as +inf
+    rows = [[repr(t), repr(t)] for t in np.linspace(0.0, 1.0, 11).tolist()]
+    rows[5][1] = "nan"
+    eta = tmp_path / "eta.csv"
+    eta.write_text("t,eta\n" + "".join(",".join(row) + "\n" for row in rows))
+    cfg = {**HOMOG, "dt": 0.1, "params": {"eta": {"csv": str(eta)}}}
+    out = str(tmp_path / "o")
+    assert cli.main(["mdp-rate", "--config", _write(tmp_path, cfg), "--output", out]) == 2
+    assert "eta csv values must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("subcommand", ["clt-check", "field-clt-check"])
+def test_variance_check_with_one_replica_is_a_config_error(tmp_path, capsys, subcommand):
+    # one replica has no sample variance; it used to write NaN into summary.json
+    cfg = {**HOMOG, "N": 50, "replicas": 1}
+    out = str(tmp_path / "o")
+    assert cli.main([subcommand, "--config", _write(tmp_path, cfg), "--output", out]) == 2
+    assert "replicas" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+# one small config per subcommand, each one a test above already runs
+STRICT_JSON_CASES = {
+    "meanfield": EXPLIN,
+    "simulate": HOMOG,
+    **DETERMINISM_CASES,
+    "exp-moment": {**HOMOG, "replicas": 10},
+    "mdp-rate": {**HOMOG, "params": {"eta": {"family": "linear", "scale": 1.0, "ac": False}}},
+    "mdp-field": GOLDEN_CONFIGS["mdp-field"],
+    "mdp-duality": {**EXPLIN, "dt": 0.0025},
+}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"summary.json holds {name}, which strict JSON has no token for")
+
+
+@pytest.mark.parametrize("subcommand", sorted(STRICT_JSON_CASES))
+def test_summary_is_strict_json(tmp_path, subcommand):
+    assert set(STRICT_JSON_CASES) == set(cli.SUBCOMMANDS)
+    out = str(tmp_path / "o")
+    assert cli.main([subcommand, "--config", _write(tmp_path, STRICT_JSON_CASES[subcommand]), "--output", out]) in (0, 1)
+    with open(os.path.join(out, "summary.json")) as fh:
+        json.load(fh, parse_constant=_refuse_constant)
 
 
 @pytest.mark.parametrize("state", [99, -1, 1.7])

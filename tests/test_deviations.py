@@ -134,7 +134,7 @@ def test_upsilon_identity_special_case(homog):
 
 def test_duality_residuals(homog, explin):
     for kernel, rate, mean in (homog, explin):
-        probes = _probe_basis(mean.grid, K) + [dev.TestFunction.monomial(mean.grid, K, 2, 0)]
+        probes = list(_probe_basis(mean.grid, K)) + [dev.TestFunction.monomial(mean.grid, K, 2, 0)]
         for psi in (
             dev.TestFunction.identity(mean.grid, K),
             dev.TestFunction.indicator_geq(mean.grid, K, 1),
