@@ -92,9 +92,19 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    # an int beyond the float range has no finite float value
+    return (_is_int(value) and abs(value) <= sys.float_info.max) or (isinstance(value, float) and math.isfinite(value))
+
+
 def _seed(value, source: str) -> int:
     # the event-log record stores the seed as a u64
-    _require(isinstance(value, int) and 0 <= value < 1 << 64, f"{source} must be an integer in [0, 2**64), got {value!r}")
+    _require(_is_int(value) and 0 <= value < 1 << 64, f"{source} must be an integer in [0, 2**64), got {value!r}")
     return value
 
 
@@ -121,7 +131,7 @@ def build_config(raw: dict, subcommand: str, overrides: dict | None = None) -> E
 
     def num(name, default, positive=True):
         v = raw.get(name, default)
-        _require(isinstance(v, (int, float)) and math.isfinite(v), f"field {name!r} must be a finite number")
+        _require(_is_number(v), f"field {name!r} must be a finite number")
         if positive:
             _require(v > 0, f"field {name!r} must be > 0, got {v}")
         return float(v)
@@ -129,19 +139,19 @@ def build_config(raw: dict, subcommand: str, overrides: dict | None = None) -> E
     T = num("T", 1.0)
     dt = num("dt", 1e-3)
     K = raw.get("K", 0)
-    _require(isinstance(K, int) and K >= 0, f"field 'K' must be a nonnegative integer, got {K}")
+    _require(_is_int(K) and K >= 0, f"field 'K' must be a nonnegative integer, got {K}")
     n_raw = raw.get("N", 1000)
-    if isinstance(n_raw, int):
+    if _is_int(n_raw):
         n_list = (n_raw,)
     else:
         _require(
-            isinstance(n_raw, list) and n_raw and all(isinstance(v, int) for v in n_raw),
+            isinstance(n_raw, list) and n_raw and all(_is_int(v) for v in n_raw),
             "field 'N' must be a positive integer or a nonempty list of them",
         )
         n_list = tuple(n_raw)
     _require(all(v > 0 for v in n_list), "field 'N' entries must be > 0")
     replicas = raw.get("replicas", 100)
-    _require(isinstance(replicas, int) and replicas > 0, "field 'replicas' must be a positive integer")
+    _require(_is_int(replicas) and replicas > 0, "field 'replicas' must be a positive integer")
     gamma = num("gamma", 0.25)
     _require(0.0 < gamma < 0.5, f"field 'gamma' must lie in (0, 1/2), got {gamma}")
     seed = _seed(raw.get("seed", 1), "field 'seed'")
@@ -295,15 +305,19 @@ def _variance_ratio(cfg: ExperimentConfig, samples, limit_var: float, band: floa
     return ResultBundle(summary=summary, artifacts=art, passed=ok)
 
 
-def _require_sample_variance(cfg: ExperimentConfig) -> None:
+def _ratio_band(cfg: ExperimentConfig, limit_var: float, default: float) -> float:
+    """``params.band`` of a variance-ratio check, once the ratio is known to be defined."""
     _require(cfg.replicas >= 2, f"field 'replicas' must be >= 2 for a sample variance, got {cfg.replicas}")
+    band = cfg.params.get("band", default)
+    _require(_is_number(band) and band > 0, f"params.band must be a finite number > 0, got {band!r}")
+    _require(math.isfinite(limit_var) and limit_var > 0, f"the limit variance is {limit_var!r}; a variance ratio needs it finite and > 0")
+    return float(band)
 
 
 def _run_clt_check(cfg: ExperimentConfig) -> ResultBundle:
-    _require_sample_variance(cfg)
-    band = float(cfg.params.get("band", 0.10))
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
     limit_var = limit_mean_variance(mean, cfg.kernel, cfg.rate)
+    band = _ratio_band(cfg, limit_var, 0.10)
     zbars = _pmap(
         functools.partial(_w_zbar, (cfg.kernel, cfg.rate, cfg.N, cfg.T, cfg.seed)),
         cfg.replicas,
@@ -315,13 +329,12 @@ def _run_clt_check(cfg: ExperimentConfig) -> ResultBundle:
 
 
 def _run_field_clt_check(cfg: ExperimentConfig) -> ResultBundle:
-    _require_sample_variance(cfg)
-    band = float(cfg.params.get("band", 0.20))
     x0 = cfg.params.get("state", 0)
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
     K = _auto_K(cfg, mean)
-    _require(isinstance(x0, int) and 0 <= x0 <= K, f"params.state must be an integer in [0, K] = [0, {K}], got {x0!r}")
+    _require(_is_int(x0) and 0 <= x0 <= K, f"params.state must be an integer in [0, K] = [0, {K}], got {x0!r}")
     limit_var = limit_field_variance(mean, cfg.kernel, cfg.rate, K, np.eye(K + 1)[x0])
+    band = _ratio_band(cfg, limit_var, 0.20)
     emp = _pmap(
         functools.partial(_w_field_proj, (cfg.kernel, cfg.rate, cfg.N, cfg.T, cfg.seed, mean, K, x0)),
         cfg.replicas,

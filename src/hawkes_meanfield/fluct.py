@@ -7,8 +7,8 @@ identity test function gives a scalar linear SDE for the mean process.  Both
 limits are simulated here on a truncated state lattice {0..K}:
 
 * the scalar mean-process SDE by explicit Euler-Maruyama,
-* its terminal variance by a backward O(n^2) pass over the implicit-trapezoid
-  recursion (any kernel), or a 3-ODE fast path for exponential kernels,
+* its terminal variance by one backward pass over the adjoint of the
+  implicit-trapezoid recursion, for every kernel,
 * the measure-valued equation in its strong birth-ladder form
 
       dX(x) = lam_t [X(x-1) - X(x)] dt
@@ -24,9 +24,9 @@ limits are simulated here on a truncated state lattice {0..K}:
 The birth-ladder stepper ``_ladder_path`` is shared with the linearized
 dynamics of ``deviations``, which replace the noise by a deterministic source.
 It and the scalar SDE read int h d<X, ell> from a ``meanfield.Excitation``
-memory, one push per step: O(1) for exponential kernels.  The variance of a
-projection <X_T, w> of the ladder is exact by one backward pass through the
-same memory, the scheme's adjoint.
+memory, one push per step: O(1) for exponential kernels.  The variance of the
+scalar scheme and of a projection <X_T, w> of the ladder are each exact by
+one backward pass through the same memory, the scheme's adjoint.
 """
 
 from __future__ import annotations
@@ -162,50 +162,10 @@ def simulate_limit_mean(mean: MeanPath, kernel: Kernel, rate: RateFn, seed: int)
     return x
 
 
-def _variance_trapezoid(mean: MeanPath, kernel: Kernel, rate: RateFn) -> float:
-    """Var X_T of the implicit-trapezoid recursion X_{k+1} = a^{(k)} . X_{0..k} + sqrt(s2_k) xi_k.
-
-    The drift integral and the excitation convolution both use trapezoid
-    quadrature and the implicit step is solved exactly (the equation is linear
-    scalar), so the variance is second-order accurate in dt.  X_T is linear in
-    the noises: with p_j = dX_T/dX_j, built backward from p_n = 1 by
-    p_{0..k} += p_{k+1} a^{(k)}, the variance is sum_k s2_k p_{k+1}^2 --
-    O(n^2) time and O(n) memory, with no covariance matrix.
-    """
-    grid = mean.grid
-    n, dt = grid.n, grid.dt
-    h0 = float(kernel.eval(0.0))
-    hp = np.atleast_1d(kernel.deriv(grid.points))
-    phid = np.atleast_1d(rate.deriv(mean.excitation))
-    lam = mean.lam
-    p = np.zeros(n + 1)
-    p[n] = 1.0
-    var = 0.0
-    for k in range(n - 1, -1, -1):
-        a = np.zeros(k + 1)
-        a[k] += 1.0
-        # explicit half of the drift at time k
-        w_k = np.full(k + 1, dt)
-        w_k[0] *= 0.5
-        if k:
-            w_k[k] *= 0.5
-        a[k] += 0.5 * dt * phid[k] * h0
-        a += 0.5 * dt * phid[k] * (hp[k::-1] * w_k)
-        # implicit half at time k+1, with the X_{k+1} terms moved to the left
-        w_k1 = np.full(k + 1, dt)
-        w_k1[0] *= 0.5
-        a += 0.5 * dt * phid[k + 1] * (hp[k + 1 : 0 : -1] * w_k1)
-        gamma = 0.5 * dt * phid[k + 1] * (h0 + 0.5 * dt * hp[0])
-        denom = 1.0 - gamma
-        a /= denom
-        s2 = dt * 0.5 * (lam[k] + lam[k + 1]) / denom**2
-        var += s2 * p[k + 1] ** 2
-        p[: k + 1] += p[k + 1] * a
-    return float(var)
-
-
 def _variance_lyapunov(mean: MeanPath, kernel: Kernel, rate: RateFn) -> float:
-    """Exponential-kernel fast path: close the SDE with Y_t = int h(t-s) dX_s.
+    """Var X_T for an exponential kernel by another route: close the SDE with Y_t = int h(t-s) dX_s.
+
+    Nothing in the package calls it; the tests hold ``limit_mean_variance`` to it.
 
     For h(t) = a e^{-bt} the pair (X, Y) is Markov:
         dX = sig_t Y dt + sqrt(lam_t) dW,
@@ -247,10 +207,31 @@ def _variance_lyapunov(mean: MeanPath, kernel: Kernel, rate: RateFn) -> float:
 
 
 def limit_mean_variance(mean: MeanPath, kernel: Kernel, rate: RateFn) -> float:
-    """Var X_T of the scalar limit SDE on the mean's grid: Lyapunov for exponential kernels, else trapezoid."""
-    if kernel.kind == "exponential":
-        return _variance_lyapunov(mean, kernel, rate)
-    return _variance_trapezoid(mean, kernel, rate)
+    """Var X_T of the implicit-trapezoid scheme for the scalar limit SDE, on the mean's grid.
+
+    The scheme is X_0 = 0, X_j - X_{j-1} = y_{j-1} + y_j + sqrt(dt (lam_{j-1} + lam_j) / 2) xi_j
+    with y_j = dt phi'(c_j) (H_j + half X_j) / 2 and H_j the ``Excitation``
+    push of X_j: second order in dt.  X_T is linear in the noises, so one
+    backward pass of the adjoint p from p_{n+1} = 0 gives
+    Var X_T = sum_j dt (lam_{j-1} + lam_j) p_j^2 / 2, with
+
+        p_j (1 - g_j) = p_{j+1} (1 + g_j) + [j = n] + lag_j,   g_j = dt phi'(c_j) (h(0) + half) / 2,
+
+    and lag_j the ``lag()`` of an ``Excitation`` fed q_n, q_{n-1}, ..., where
+    q_j = dt phi'(c_j) (p_j + p_{j+1}) / 2.  O(n) for exponential, constant
+    and zero kernels, O(n^2) for tabulated ones.
+    """
+    n, dt, lam = mean.grid.n, mean.grid.dt, mean.lam.tolist()
+    phid = np.atleast_1d(rate.deriv(mean.excitation)).tolist()
+    memory = Excitation(kernel, mean.grid)
+    diag = memory.h0 + memory.half
+    p, var = 0.0, 0.0
+    for j in range(n, 0, -1):
+        g = 0.5 * dt * phid[j] * diag
+        p_next, p = p, (p * (1.0 + g) + (j == n) + memory.lag()) / (1.0 - g)
+        memory.push(0.5 * dt * phid[j] * (p + p_next))
+        var += 0.5 * dt * (lam[j - 1] + lam[j]) * p * p
+    return float(var)
 
 
 def _ladder(a: np.ndarray) -> np.ndarray:

@@ -123,20 +123,25 @@ class Excitation:
         H_k = h(0) f_k + dt sum_{j<k} h'(t_k - t_j) f_j,
 
     the integration-by-parts form of int_0^{t_k} h(t_k - s) df_s under the
-    left-rectangle rule, for a path with f_0 = 0.  ``f_k`` is a float, or one
-    value per replica when ``replicas`` is given.  An exponential kernel keeps
-    the decayed sum S_k = sum_{j<k} e^{-b(t_k - t_j)} f_j, so a push costs
-    O(1) (Oakes 1975); zero and constant kernels have h' = 0 and keep nothing;
-    a tabulated kernel keeps the history and takes one dot product per
-    replica, O(k) per push.
+    left-rectangle rule, for a path with f_0 = 0.  ``lag()`` returns the
+    memory's part of the next push, the sum over j < k, and records nothing,
+    so ``push(f)`` is ``h0 * f + lag()``.  ``half`` is dt h'(0) / 2: adding
+    ``half * f_k`` to a push gives the trapezoid rule.  ``f_k`` is a float, or
+    one value per replica when ``replicas`` is given.  An exponential kernel
+    keeps the decayed sum S_k = sum_{j<k} e^{-b(t_k - t_j)} f_j, so a push
+    costs O(1) (Oakes 1975); zero and constant kernels have h' = 0 and keep
+    nothing; a tabulated kernel keeps the history and takes one dot product
+    per replica, O(k) per push.
     """
 
     def __init__(self, kernel: Kernel, grid: TimeGrid, replicas: int | None = None):
         self._kind = kernel.kind
-        self._h0 = float(kernel.eval(0.0))
+        hp0 = float(kernel.deriv(0.0))
+        self.h0 = float(kernel.eval(0.0))
+        self.half = 0.5 * grid.dt * hp0
         if self._kind == "exponential":
             self._decay = math.exp(-kernel.b * grid.dt)
-            self._lag = grid.dt * float(kernel.deriv(0.0))
+            self._lag = grid.dt * hp0
             self._sum = 0.0 if replicas is None else np.zeros(replicas)
         elif self._kind == "tabulated":
             self._dt, self._k = grid.dt, 0
@@ -144,22 +149,29 @@ class Excitation:
             self._scalar = replicas is None
             self._hist = np.zeros((1 if replicas is None else replicas, grid.n + 1))
 
-    def push(self, f):
-        """H_k for the next grid value f_k of the path."""
+    def lag(self):
+        """dt sum_{j<k} h'(t_k - t_j) f_j for the next grid index k."""
         if self._kind == "exponential":
-            out = self._h0 * f + self._lag * self._sum
-            self._sum = self._decay * (self._sum + f)
-            return out
+            return self._lag * self._sum
         if self._kind != "tabulated":
-            return self._h0 * f
+            return 0.0
         k = self._k
-        self._k += 1
-        hist = self._hist
-        hist[:, k] = f
         # one np.dot per replica: a batched contraction would sum in another order
         back = self._hp[k:0:-1]
-        mem = [float(np.dot(back, row[:k])) for row in hist]
-        return self._h0 * f + self._dt * (mem[0] if self._scalar else np.array(mem))
+        mem = [float(np.dot(back, row[:k])) for row in self._hist]
+        return self._dt * (mem[0] if self._scalar else np.array(mem))
+
+    def push(self, f):
+        """H_k for the next grid value f_k of the path."""
+        if self._kind not in ("exponential", "tabulated"):
+            return self.h0 * f  # not h0 * f + 0.0, which turns a -0.0 into +0.0
+        out = self.h0 * f + self.lag()
+        if self._kind == "exponential":
+            self._sum = self._decay * (self._sum + f)
+        else:
+            self._hist[:, self._k] = f
+            self._k += 1
+        return out
 
     @classmethod
     def path(cls, kernel: Kernel, grid: TimeGrid, f: np.ndarray) -> np.ndarray:
@@ -190,7 +202,6 @@ def solve_mean(kernel: Kernel, rate: RateFn, T: float, dt: float) -> MeanPath:
         raise ValueError(f"solve_mean needs dt <= T/10, got dt={dt}, T={T}")
     grid = TimeGrid.from_T_dt(T, dt)
     n, step = grid.n, grid.dt
-    half = 0.5 * step * float(kernel.deriv(0.0))
     tol = _EXCITATION_TOL if kernel.kind != "tabulated" or np.all(kernel.values >= 0.0) else math.inf
 
     def fail(lam, c, k):
@@ -199,6 +210,7 @@ def solve_mean(kernel: Kernel, rate: RateFn, T: float, dt: float) -> MeanPath:
     # Euler pass
     phi = _scalar_rate(rate)
     memory = Excitation(kernel, grid)
+    half = memory.half
     m = np.zeros(n + 1)
     mk = peak = 0.0
     for k in range(n):

@@ -27,8 +27,8 @@ from hawkes_meanfield.engine import (
 from hawkes_meanfield.fluct import (
     FieldPath,
     _variance_lyapunov,
-    _variance_trapezoid,
     centered_field,
+    limit_mean_variance,
     simulate_limit_field,
 )
 from hawkes_meanfield.meanfield import limit_law_path, solve_mean
@@ -87,7 +87,7 @@ def test_criterion_02_lln(explin_fine):
 def test_criterion_03_scalar_clt(explin_fine):
     t0 = time.perf_counter()
     coarse = solve_mean(EXP_KERNEL, AFFINE_RATE, 1.0, 1.0 / 256)
-    var_trap = _variance_trapezoid(coarse, EXP_KERNEL, AFFINE_RATE)
+    var_trap = limit_mean_variance(coarse, EXP_KERNEL, AFFINE_RATE)
     var_lyap = _variance_lyapunov(coarse, EXP_KERNEL, AFFINE_RATE)
     oracle_rel = abs(var_trap - var_lyap) / var_lyap
     m1 = explin_fine.m_final

@@ -530,6 +530,46 @@ def test_variance_check_with_one_replica_is_a_config_error(tmp_path, capsys, sub
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("band", [-1, 0, math.inf, None, "0.5"])
+@pytest.mark.parametrize("subcommand", ["clt-check", "field-clt-check"])
+def test_variance_check_band_must_be_a_positive_number(tmp_path, capsys, subcommand, band):
+    # a band <= 0 can only fail; it is refused before any replica runs
+    cfg = {**HOMOG, "N": 50, "replicas": 4, "params": {"band": band}}
+    out = str(tmp_path / "o")
+    assert cli.main([subcommand, "--config", _write(tmp_path, cfg), "--output", out]) == 2
+    assert "params.band" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_field_clt_check_refuses_a_zero_limit_variance(tmp_path, capsys):
+    # the Poisson(2) law underflows to 0 at state 400, and so does the limit variance
+    cfg = {**HOMOG, "dt": 0.01, "K": 400, "params": {"state": 400}}
+    out = str(tmp_path / "o")
+    assert cli.main(["field-clt-check", "--config", _write(tmp_path, cfg), "--output", out]) == 2
+    assert "limit variance is 0.0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("K", True),
+        ("N", True),
+        ("N", [100, True]),
+        ("replicas", True),
+        ("seed", True),
+        ("seed", False),
+        ("T", True),
+        ("T", 10**400),
+    ],
+)
+def test_build_config_refuses_json_values_of_the_wrong_kind(field, value):
+    # json loads true/false as bool, an int subclass, and 1 followed by 400
+    # zeros as an int that no float can hold
+    with pytest.raises(cli.ConfigError, match=f"'{field}'"):
+        cli.build_config({**HOMOG, field: value}, "simulate")
+
+
 # one small config per subcommand, each one a test above already runs
 STRICT_JSON_CASES = {
     "meanfield": EXPLIN,
@@ -555,7 +595,7 @@ def test_summary_is_strict_json(tmp_path, subcommand):
         json.load(fh, parse_constant=_refuse_constant)
 
 
-@pytest.mark.parametrize("state", [99, -1, 1.7])
+@pytest.mark.parametrize("state", [99, -1, 1.7, True])
 def test_field_clt_check_rejects_state_outside_lattice(tmp_path, capsys, state):
     cfg = {**HOMOG, "params": {"state": state}}
     out = str(tmp_path / "o")

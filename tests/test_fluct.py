@@ -11,7 +11,6 @@ from hawkes_meanfield.fluct import (
     SpeedSequence,
     _ladder_path,
     _variance_lyapunov,
-    _variance_trapezoid,
     centered_field,
     limit_field_variance,
     limit_mean_variance,
@@ -115,27 +114,29 @@ def test_limit_mean_same_seed_identical(exp_kernel, affine_rate):
 
 def test_limit_mean_variance_homogeneous_exact(zero_kernel, const2_rate):
     mean = _coarse_mean(zero_kernel, const2_rate, n=256)
-    v = _variance_trapezoid(mean, zero_kernel, const2_rate)
+    v = limit_mean_variance(mean, zero_kernel, const2_rate)
     assert v == pytest.approx(2.0, abs=1e-12)
-    assert limit_mean_variance(mean, zero_kernel, const2_rate) == v
     half = solve_mean(zero_kernel, const2_rate, 0.5, 1.0 / 256)
-    assert _variance_trapezoid(half, zero_kernel, const2_rate) == pytest.approx(1.0, abs=1e-12)
+    assert limit_mean_variance(half, zero_kernel, const2_rate) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_limit_mean_variance_oracles_agree(exp_kernel, affine_rate):
     mean = _coarse_mean(exp_kernel, affine_rate, n=256)
-    vt = _variance_trapezoid(mean, exp_kernel, affine_rate)
+    vt = limit_mean_variance(mean, exp_kernel, affine_rate)
     vl = _variance_lyapunov(mean, exp_kernel, affine_rate)
     assert abs(vt - vl) / vl <= 1e-3
-    assert limit_mean_variance(mean, exp_kernel, affine_rate) == vl
+    assert limit_mean_variance(mean, exp_kernel, affine_rate) == vt
 
 
 def test_limit_mean_variance_has_no_step_cap(exp_kernel, affine_rate, explin_mean):
-    # n = 1000, a grid the O(n^3) covariance propagation used to refuse
+    # n = 1000, a grid the O(n^3) covariance propagation used to refuse, and
+    # n = 10^4, where the O(n) backward pass and RK4 agree to O(dt^2)
     assert explin_mean.grid.n == 1000
-    vt = _variance_trapezoid(explin_mean, exp_kernel, affine_rate)
-    vl = _variance_lyapunov(explin_mean, exp_kernel, affine_rate)
-    assert math.isfinite(vt) and abs(vt - vl) / vl <= 1e-3
+    fine = _coarse_mean(exp_kernel, affine_rate, 10**4)
+    for mean, rel in ((explin_mean, 1e-3), (fine, 1e-6)):
+        vt = limit_mean_variance(mean, exp_kernel, affine_rate)
+        vl = _variance_lyapunov(mean, exp_kernel, affine_rate)
+        assert math.isfinite(vt) and abs(vt - vl) / vl <= rel
 
 
 # Var X_T at T = 1 with phi = 1 + x, recorded from the (n+1)^2 covariance
@@ -151,6 +152,7 @@ DENSE_VARIANCE_HEX = {
     ("zero", 256): "0x1.0000000000000p+0",
     ("zero", 512): "0x1.0000000000000p+0",
 }
+CONCAVE_RATE = RateFn.tabulated((0.0, 0.5, 1.0, 2.0, 4.0), (1.0, 1.8, 2.2, 2.4, 2.5))
 VARIANCE_KERNELS = {
     "exp": Kernel.exponential(1.0, 2.0),
     "tab": Kernel.tabulated((0.0, 0.25, 0.5, 1.0), (1.0, 0.7, 0.4, 0.0)),
@@ -161,8 +163,29 @@ VARIANCE_KERNELS = {
 @pytest.mark.parametrize("kind, n", sorted(DENSE_VARIANCE_HEX))
 def test_trapezoid_variance_matches_covariance_propagation(kind, n, affine_rate):
     kernel = VARIANCE_KERNELS[kind]
-    v = _variance_trapezoid(_coarse_mean(kernel, affine_rate, n), kernel, affine_rate)
+    v = limit_mean_variance(_coarse_mean(kernel, affine_rate, n), kernel, affine_rate)
     ref = float.fromhex(DENSE_VARIANCE_HEX[(kind, n)])
+    assert abs(v - ref) <= 1e-13 * ref
+
+
+# Var X_T at T = 1 with the concave tabulated phi of CONCAVE_RATE, so phi'(c_t)
+# varies along the path; float.hex of each value of the O(n^2) forward-row
+# pass that the backward push through Excitation replaced
+CONCAVE_VARIANCE_HEX = {
+    ("exp", 100): "0x1.9e0d2ac5e1759p+1",
+    ("exp", 256): "0x1.9eb5be62d4934p+1",
+    ("tab", 100): "0x1.b15af7ac98ac9p+1",
+    ("tab", 256): "0x1.b1cf038208c4ap+1",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(CONCAVE_VARIANCE_HEX))
+def test_trapezoid_variance_with_varying_rate_slope(kind, n):
+    kernel = VARIANCE_KERNELS[kind]
+    mean = _coarse_mean(kernel, CONCAVE_RATE, n)
+    assert np.ptp(CONCAVE_RATE.deriv(mean.excitation)) > 0.0
+    v = limit_mean_variance(mean, kernel, CONCAVE_RATE)
+    ref = float.fromhex(CONCAVE_VARIANCE_HEX[(kind, n)])
     assert abs(v - ref) <= 1e-13 * ref
 
 
@@ -366,9 +389,6 @@ def test_ladder_path_divergence_names_the_first_step_over_replicas(exp_kernel, a
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="at step 5$"):
             _ladder_path(mean, exp_kernel, affine_rate, law, source, np.zeros_like(source))
-
-
-CONCAVE_RATE = RateFn.tabulated((0.0, 0.5, 1.0, 2.0, 4.0), (1.0, 1.8, 2.2, 2.4, 2.5))
 
 
 def _jacobian_variance(mean, kernel, rate, K, w):

@@ -145,6 +145,24 @@ def test_excitation_pushes_match_the_direct_sum(kind, n, T, replicas, seed):
             assert abs(got[r, k] - want) <= 1e-12 * (abs(h0 * f[r, k]) + float(np.sum(np.abs(terms))))
 
 
+@pytest.mark.parametrize("replicas", [None, 3])
+@pytest.mark.parametrize("kind", sorted(EXCITATION_KERNELS))
+def test_excitation_lag_is_the_memory_part_of_the_next_push(kind, replicas):
+    kernel = EXCITATION_KERNELS[kind]
+    grid = TimeGrid.from_T_dt(1.0, 1.0 / 40)
+    memory = Excitation(kernel, grid, replicas=replicas)
+    f = np.random.default_rng(11).normal(size=(grid.n + 1, replicas or 1))
+    f[0] = 0.0
+    for row in f:
+        v = float(row[0]) if replicas is None else row
+        lag = memory.lag()
+        assert np.array_equal(memory.lag(), lag)  # reading it records nothing
+        want = memory.h0 * v if kind in ("zero", "constant") else memory.h0 * v + lag
+        assert np.asarray(memory.push(v)).tobytes() == np.asarray(want).tobytes()
+        if kind in ("zero", "constant"):
+            assert np.all(lag == 0.0)
+
+
 def test_limit_law_values(homog_mean):
     ll = limit_law(homog_mean, 1.0, 20)
     assert ll.pmf[0] == pytest.approx(math.exp(-2.0), abs=1e-9)
