@@ -35,8 +35,9 @@ from .model import (
     rate_to_dict,
     validate_assumptions,
 )
-from .meanfield import MeanPath, TimeGrid, solve_mean, suggested_state_count
+from .meanfield import MeanPath, SolverDivergenceError, TimeGrid, solve_mean, suggested_state_count
 from .engine import (
+    SimulationError,
     event_log_to_bytes,
     event_log_to_csv,
     simulate_coupled,
@@ -100,6 +101,12 @@ def _is_int(value) -> bool:
 def _is_number(value) -> bool:
     # an int beyond the float range has no finite float value
     return (_is_int(value) and abs(value) <= sys.float_info.max) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _param_number(spec: dict, name: str, default: float, where: str = "params") -> float:
+    v = spec.get(name, default)
+    _require(_is_number(v), f"{where}.{name} must be a finite number, got {v!r}")
+    return float(v)
 
 
 def _seed(value, source: str) -> int:
@@ -347,8 +354,8 @@ def _run_field_clt_check(cfg: ExperimentConfig) -> ResultBundle:
 def _run_couple_scaling(cfg: ExperimentConfig) -> ResultBundle:
     if len(cfg.N_list) < 3:
         raise ConfigError("couple-scaling needs >= 3 values in 'N' to regress a slope")
-    slope_max = float(cfg.params.get("slope_max", -0.35))
-    slope_min = float(cfg.params.get("slope_min", -0.65))
+    slope_max = _param_number(cfg.params, "slope_max", -0.35)
+    slope_min = _param_number(cfg.params, "slope_min", -0.65)
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
     rows = []
     mean_diffs = []
@@ -395,9 +402,10 @@ def _run_exp_moment(cfg: ExperimentConfig) -> ResultBundle:
     report = validate_assumptions(cfg.kernel, cfg.rate, cfg.T)
     thetas_n = cfg.params.get("theta_times_N", [0.01, 0.05])
     _require(
-        isinstance(thetas_n, list) and thetas_n and all(isinstance(v, (int, float)) and v >= 0 for v in thetas_n),
-        "params.theta_times_N must be a list of nonnegative numbers",
+        isinstance(thetas_n, list) and thetas_n and all(_is_number(v) and v >= 0 for v in thetas_n),
+        "params.theta_times_N must be a list of finite nonnegative numbers",
     )
+    ci_slack = _param_number(cfg.params, "ci_slack", 3.0)
     phi0 = float(cfg.rate.eval(0.0))
     zbars = np.asarray(
         _pmap(
@@ -418,7 +426,7 @@ def _run_exp_moment(cfg: ExperimentConfig) -> ResultBundle:
         samples = np.exp(tn * zbars)
         est = float(np.mean(samples))
         se = float(np.std(samples, ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
-        slack = float(cfg.params.get("ci_slack", 3.0)) * se / est if est > 0 else 0.0
+        slack = ci_slack * se / est if est > 0 else 0.0
         bound = math.exp(2.0 * tn * phi0 * cfg.T / report.stability_margin)
         ok = est <= bound * (1.0 + slack)
         all_ok = all_ok and ok
@@ -477,7 +485,8 @@ def _run_mdp_rate(cfg: ExperimentConfig) -> ResultBundle:
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
     spec = cfg.params.get("eta", {"family": "linear", "scale": 1.0})
     _require(isinstance(spec, dict), "params.eta must be an object")
-    ac = bool(spec.get("ac", True))
+    ac = spec.get("ac", True)
+    _require(isinstance(ac, bool), f"params.eta.ac must be true or false, got {ac!r}")
     if "csv" in spec:
         try:
             data = np.loadtxt(spec["csv"], delimiter=",", skiprows=1, ndmin=2)
@@ -490,7 +499,7 @@ def _run_mdp_rate(cfg: ExperimentConfig) -> ResultBundle:
             raise ConfigError("eta csv grid must match the configured (T, dt) grid")
     else:
         family = spec.get("family", "linear")
-        scale = float(spec.get("scale", 1.0))
+        scale = _param_number(spec, "scale", 1.0, "params.eta")
         ts = mean.grid.points
         if family == "linear":
             vals = scale * ts
@@ -516,7 +525,9 @@ def _run_mdp_field(cfg: ExperimentConfig) -> ResultBundle:
     K = _auto_K(cfg, mean)
     spec = cfg.params.get("psi", {"family": "identity"})
     _require(isinstance(spec, dict), "params.psi must be an object")
-    psi = _named_test_function(spec.get("family", "identity"), mean.grid, K, int(spec.get("x0", 1)))
+    x0 = spec.get("x0", 1)
+    _require(_is_int(x0), f"params.psi.x0 must be an integer, got {x0!r}")
+    psi = _named_test_function(spec.get("family", "identity"), mean.grid, K, x0)
     # the functionals first and the artifacts after them, so the transients of
     # the rate and of the probes never meet the CSV bytes
     mu, i_est, half_norm, resid = _mdp_functionals(psi, mean, K, cfg.kernel, cfg.rate)
@@ -537,8 +548,8 @@ def _run_mdp_field(cfg: ExperimentConfig) -> ResultBundle:
 
 
 def _run_mdp_duality(cfg: ExperimentConfig) -> ResultBundle:
-    resid_tol = float(cfg.params.get("residual_tol", 1e-6))
-    rate_tol = float(cfg.params.get("rate_tol", 0.01))
+    resid_tol = _param_number(cfg.params, "residual_tol", 1e-6)
+    rate_tol = _param_number(cfg.params, "rate_tol", 0.01)
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
     K = _auto_K(cfg, mean)
     grid = mean.grid
@@ -641,7 +652,7 @@ def main(argv: list[str] | None = None) -> int:
             overrides={"output": args.output, "workers": args.workers, "seed": args.seed},
         )
         bundle = run(cfg)
-    except (ConfigError, ValidationError, ValueError) as exc:
+    except (ConfigError, ValidationError, ValueError, SolverDivergenceError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     write_bundle(bundle, cfg.output)

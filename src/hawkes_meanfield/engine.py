@@ -70,6 +70,10 @@ _VERSION = 1
 
 # dominating-rate overflow guard: a per-particle bound beyond this is a model error
 _RATE_CEILING = 1e12
+# largest clock span of one thinning round, about this many candidates a
+# particle: a bound near the ceiling would otherwise draw the whole horizon
+# at once, though the next jump overflows it
+_ROUND_SPAN = 1024.0
 
 
 class SimulationError(RuntimeError):
@@ -366,8 +370,9 @@ def _run_thinning(
     while walking:
         # The dominating rate never falls, so every candidate up to q_lim maps
         # to a time <= T however many jumps come first: draw the marks and the
-        # next clocks of all of them at once.
-        q_lim = q_ref + (t_round - t) * lam_bar
+        # next clocks of all of them at once.  Every stream draws the same
+        # words in the same order however the clock is cut into rounds.
+        q_lim = q_ref + min((t_round - t) * lam_bar, _ROUND_SPAN)
         ready = np.flatnonzero(pending <= q_lim)
         if not ready.size:
             # the smallest pending candidate decides the stop, as a heap's top would

@@ -242,6 +242,14 @@ def _ladder(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_monotone_steps(mean: MeanPath) -> None:
+    """Refuse a grid on which lam_k dt > 1 for some step: there the Euler step
+    of the birth ladder is no longer monotone and its paths blow up."""
+    top = float(np.max(mean.lam[:mean.grid.n])) * mean.grid.dt
+    if top > 1.0:
+        raise ValueError(f"max lambda*dt = {top:.6g} > 1: the birth-ladder Euler step is not monotone; decrease dt")
+
+
 def _ladder_path(
     mean: MeanPath,
     kernel: Kernel,
@@ -265,8 +273,10 @@ def _ladder_path(
     dynamics with the source g Law.  Either forcing may be omitted, not both:
     an omitted forcing is neither allocated nor added, which gives the bits
     of an explicit zero block, because X starts at +0.0 and a rounded sum is
-    -0.0 only when both of its terms are.
+    -0.0 only when both of its terms are.  Raises ValueError when
+    lam_k dt > 1 for some step.
     """
+    _require_monotone_steps(mean)
     grid = mean.grid
     n, dt = grid.n, grid.dt
     K = law.shape[1] - 1
@@ -363,11 +373,13 @@ def limit_field_variance(mean: MeanPath, kernel: Kernel, rate: RateFn, K: int, w
 
     where the lag sum is an ``Excitation`` fed q_{n-1}, q_{n-2}, ..., the
     transpose of its forward left rule.  Raises TruncationError when K is too
-    small for the limit law and ValueError unless ``weights`` is K+1 finite floats.
+    small for the limit law, and ValueError unless ``weights`` is K+1 finite
+    floats and lam_k dt <= 1 at every step.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (K + 1,) or not np.all(np.isfinite(w)):
         raise ValueError(f"weights must be {K + 1} finite floats, got shape {w.shape}")
+    _require_monotone_steps(mean)
     limit_law(mean, mean.grid.T, K)
     n, dt, lam = mean.grid.n, mean.grid.dt, mean.lam
     law = limit_law_path(mean, K)

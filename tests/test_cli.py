@@ -611,3 +611,91 @@ def test_simulate_mf_poisson_kind(tmp_path):
     out = str(tmp_path / "mf")
     assert cli.main(["simulate", "--config", path, "--output", out]) == 0
     assert _summary(out)["kind"] == "mf_poisson"
+
+
+def test_clt_check_accepts_an_exp_kernel_of_slow_decay(tmp_path):
+    # exp(1, 1e-5) has margin 0.5; finite differences of h' once refused it
+    cfg = {**HOMOG, "N": 100, "replicas": 20}
+    cfg["model"] = {
+        "kernel": {"type": "exponential", "a": 1.0, "b": 1e-5},
+        "rate": {"type": "affine", "base": 1.0, "slope": 0.5},
+    }
+    out = str(tmp_path / "o")
+    assert cli.main(["clt-check", "--config", _write(tmp_path, cfg), "--output", out]) in (0, 1)
+    assert _summary(out)["limit_variance"] > 0
+
+
+# a negative excitation in the mean solve, and a dominating rate that overflows
+MODEL_ERRORS = {
+    "solver-divergence": (
+        ["meanfield", "clt-check"],
+        {"kernel": {"type": "exponential", "a": 1.0, "b": 5000.0}, "rate": {"type": "affine", "base": 1.0, "slope": 0.5}},
+        {"dt": 0.001},
+        "excitation",
+    ),
+    "simulation-overflow": (
+        ["simulate"],
+        {"kernel": {"type": "constant", "c": 1.0}, "rate": {"type": "affine", "base": 1.0, "slope": 1e12}},
+        {"N": 2},
+        "overflows",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_ERRORS))
+def test_model_errors_exit_2_without_output(tmp_path, capsys, case):
+    subcommands, model, extra, message = MODEL_ERRORS[case]
+    path = _write(tmp_path, {**HOMOG, **extra, "model": model})
+    for subcommand in subcommands:
+        out = str(tmp_path / subcommand)
+        assert cli.main([subcommand, "--config", path, "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("theta", ["1e400", "true", "-1", '"0.5"'])
+def test_exp_moment_refuses_a_theta_that_is_not_a_finite_number(tmp_path, capsys, monkeypatch, theta):
+    # 1e400 loads as inf, which halving never brings under the overflow cap
+    monkeypatch.setattr(cli, "_pmap", lambda *a: pytest.fail("a replica ran"))
+    text = json.dumps(HOMOG)[:-1] + f', "params": {{"theta_times_N": [{theta}]}}}}'
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = str(tmp_path / "o")
+    assert cli.main(["exp-moment", "--config", str(path), "--output", out]) == 2
+    assert "params.theta_times_N" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "subcommand, params, name",
+    [
+        ("mdp-field", {"psi": {"family": "indicator", "x0": 2.7}}, "params.psi.x0"),
+        ("mdp-field", {"psi": {"family": "indicator", "x0": True}}, "params.psi.x0"),
+        ("mdp-rate", {"eta": {"family": "linear", "ac": "false"}}, "params.eta.ac"),
+        ("mdp-rate", {"eta": {"family": "linear", "ac": 0}}, "params.eta.ac"),
+        ("mdp-rate", {"eta": {"family": "linear", "scale": "0.5"}}, "params.eta.scale"),
+        ("mdp-rate", {"eta": {"family": "linear", "scale": True}}, "params.eta.scale"),
+        ("couple-scaling", {"slope_min": True}, "params.slope_min"),
+        ("couple-scaling", {"slope_max": "0.5"}, "params.slope_max"),
+        ("exp-moment", {"ci_slack": True}, "params.ci_slack"),
+        ("mdp-duality", {"residual_tol": "0.5"}, "params.residual_tol"),
+        ("mdp-duality", {"rate_tol": math.inf}, "params.rate_tol"),
+    ],
+)
+def test_params_of_the_wrong_kind_are_config_errors(tmp_path, capsys, monkeypatch, subcommand, params, name):
+    monkeypatch.setattr(cli, "_pmap", lambda *a: pytest.fail("a replica ran"))
+    cfg = {**HOMOG, "N": [50, 100, 200], "dt": 0.01, "params": params}
+    out = str(tmp_path / "o")
+    assert cli.main([subcommand, "--config", _write(tmp_path, cfg), "--output", out]) == 2
+    assert name in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_mdp_field_refuses_a_birth_ladder_step_that_is_not_monotone(tmp_path, capsys):
+    # lambda dt = 40: each Euler step overshoots, and the field grew to 1e160
+    cfg = {**HOMOG, "dt": 0.1, "model": {"kernel": {"type": "zero"}, "rate": {"type": "affine", "base": 400.0, "slope": 0.0}}}
+    out = str(tmp_path / "o")
+    assert cli.main(["mdp-field", "--config", _write(tmp_path, cfg), "--output", out]) == 2
+    assert "not monotone" in capsys.readouterr().err
+    assert not os.path.exists(out)

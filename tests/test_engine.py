@@ -409,6 +409,14 @@ def test_limit_intensity_bound_checked_after_the_walk(exp_kernel, affine_rate, e
     )
 
 
+@pytest.mark.parametrize("seed", [1, 99])
+def test_dominating_rate_overflow_raises_within_one_round(seed):
+    # at seed 99 the first jump is its round's last candidate, and the bound
+    # 5e11 made the next round draw the whole horizon: 5e11 candidates
+    with pytest.raises(SimulationError, match="dominating rate 1.000e\\+12 overflows"):
+        simulate_hawkes(2, Kernel.constant(1.0), RateFn.affine(1.0, 1e12), 1.0, seed=seed)
+
+
 def test_returned_jump_arrays_are_read_only(exp_kernel, affine_rate, explin_mean):
     grid = TimeGrid.from_T_dt(1.0, 0.01)
     c = simulate_coupled(50, exp_kernel, affine_rate, explin_mean, 1.0, seed=5)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawkes_meanfield.model import (
     Kernel,
@@ -48,7 +50,7 @@ def test_norms_tabulated_matches_quadrature():
     assert l1 == pytest.approx(np.trapezoid(vals, grid), rel=1e-6)
 
 
-# a narrow spike that falls between the points of a T/1000 probe grid (T = 20)
+# a narrow spike that would fall between the points of a T/1000 grid (T = 20)
 SPIKE = Kernel.tabulated([0.0, 0.005, 0.015, 20.0], [0.0, 90.0, 0.0, 0.0])
 
 
@@ -61,7 +63,7 @@ def test_norms_tabulated_spike_between_probe_points():
 
 
 def test_validate_negative_dip_between_probe_points():
-    # h dips to -5 between the points of the T/1000 probe grid (T = 20)
+    # h dips to -5 between the points of a T/1000 grid (T = 20)
     dip = Kernel.tabulated([0.0, 0.005, 0.015, 20.0], [0.5, -5.0, 0.5, 0.5])
     rep = validate_assumptions(dip, RateFn.affine(1.0, 0.05), 20.0)
     assert rep.stability_margin > 0.0
@@ -134,10 +136,86 @@ def test_affine_rate_declares_slope_as_lipschitz():
 
 
 def test_nonfinite_rate_raises():
-    # phi overflows on the probe grid long before the excitation reaches 10
+    # phi overflows at x = 10, the end of [0, 10 ||h||_sup]
     r = RateFn.affine(1.0, 1e308)
     with np.errstate(over="ignore"), pytest.raises(ValidationError, match="rate value is not finite"):
         validate_assumptions(Kernel.constant(1.0), r, 1.0)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=_log_uniform(1e-3, 1e3),
+    b=_log_uniform(1e-8, 1e8),
+    base=_log_uniform(1e-3, 1e12),
+    slope=st.floats(0.0, 1e3),
+    T=_log_uniform(1e-3, 1e3),
+)
+def test_validate_exp_affine_fails_only_on_the_margin(a, b, base, slope, T):
+    # every exp kernel with an affine rate meets the assumptions other than the margin
+    rep = validate_assumptions(Kernel.exponential(a, b), RateFn.affine(base, slope), T)
+    assert rep.passed == (rep.stability_margin > 0.0)
+    assert all("margin" in w for w in rep.warnings)
+
+
+# valid models, each with a positive margin, that probe grids and finite
+# differences of the closed forms used to refuse by rounding alone
+PASSING_MODELS = {
+    "exp-b=1e-5": (Kernel.exponential(1.0, 1e-5), RateFn.affine(1.0, 0.5)),
+    "exp-b=3e-5": (Kernel.exponential(1.0, 3e-5), RateFn.affine(1.0, 0.5)),
+    "exp-b=3e3": (Kernel.exponential(1.0, 3e3), RateFn.affine(1.0, 0.5)),
+    "exp-b=1e4": (Kernel.exponential(1.0, 1e4), RateFn.affine(1.0, 0.5)),
+    "affine-base=1e8": (Kernel.exponential(1.0, 2.0), RateFn.affine(1e8, 1e-3)),
+    "affine-base=1e12": (Kernel.exponential(1.0, 2.0), RateFn.affine(1e12, 0.5)),
+    "tabulated-rate-at-1e9": (
+        Kernel.exponential(1.0, 2.0),
+        RateFn.tabulated([0.0, 0.37, 1.1, 3.0], [1e9, 1e9 + 0.3, 1e9 + 0.9, 1e9 + 1.0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PASSING_MODELS))
+def test_validate_accepts_models_with_a_positive_margin(name):
+    kernel, rate = PASSING_MODELS[name]
+    rep = validate_assumptions(kernel, rate, 1.0)
+    assert rep.stability_margin > 0.0
+    assert rep.passed and rep.warnings == ()
+
+
+def test_bare_rate_under_declaring_its_lipschitz_constant_is_reported():
+    rate = RateFn("affine", base=1.0, slope=2.0, lipschitz=1.0)
+    rep = validate_assumptions(Kernel.exponential(1.0, 2.0), rate, 1.0)
+    assert rep.stability_margin > 0.0 and not rep.passed
+    assert any("Lipschitz" in w for w in rep.warnings)
+
+
+def test_bare_rate_that_turns_negative_is_reported():
+    # phi(x) = 1 - x is positive at 0 and -9 at the end of [0, 10 ||h||_sup]
+    rate = RateFn("affine", base=1.0, slope=-1.0, lipschitz=1.0)
+    rep = validate_assumptions(Kernel.exponential(1.0, 2.0), rate, 1.0)
+    assert not rep.passed
+    assert any("strictly positive" in w for w in rep.warnings)
+
+
+@pytest.mark.parametrize(
+    "model, match",
+    [
+        (lambda: (Kernel.exponential(1e200, 1e200), RateFn.affine(1.0, 1e-300)), "kernel derivative is not finite at t=0.0"),
+        (lambda: (Kernel.tabulated([0.0, 1e-300, 1.0], [0.0, 1e300, 0.0]), RateFn.affine(1.0, 1e-300)),
+         "kernel derivative is not finite at t=0.0"),
+        (lambda: (Kernel.zero(), RateFn.tabulated([0.0, 1e-300, 1.0], [1.0, 1e300, 1.0])),
+         "rate derivative is not finite at x=0.0"),
+    ],
+    ids=["exp", "tabulated-kernel", "tabulated-rate"],
+)
+def test_validate_raises_on_an_infinite_slope(model, match):
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel, rate = model()
+        with pytest.raises(ValidationError, match=match):
+            validate_assumptions(kernel, rate, 1.0)
 
 
 def test_descriptor_round_trip():
