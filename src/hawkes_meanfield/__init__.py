@@ -14,7 +14,6 @@ from .engine import (
 )
 from .fluct import (
     FieldPath,
-    SpeedSequence,
     centered_field,
     simulate_limit_mean,
     limit_mean_variance,
@@ -37,7 +36,7 @@ __all__ = [
     "TimeGrid", "MeanPath", "solve_mean", "limit_law",
     "EventLog", "CouplingLog", "simulate_hawkes", "simulate_coupled",
     "simulate_perturbed",
-    "FieldPath", "SpeedSequence", "centered_field", "simulate_limit_mean",
+    "FieldPath", "centered_field", "simulate_limit_mean",
     "limit_mean_variance", "limit_field_variance", "simulate_limit_field",
     "TestFunction", "MeanDeviationPath", "rate_mean", "inner", "upsilon",
     "solve_linearized", "rate_field",

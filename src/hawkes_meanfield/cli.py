@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .model import (
+    AssumptionReport,
     Kernel,
     RateFn,
     ValidationError,
@@ -35,7 +36,7 @@ from .model import (
     rate_to_dict,
     validate_assumptions,
 )
-from .meanfield import MeanPath, SolverDivergenceError, TimeGrid, solve_mean, suggested_state_count
+from .meanfield import MeanPath, SolverDivergenceError, TimeGrid, limit_law, solve_mean, suggested_state_count
 from .engine import (
     SimulationError,
     event_log_to_bytes,
@@ -46,6 +47,7 @@ from .engine import (
 )
 from .fluct import (
     FieldPath,
+    _require_monotone_steps,
     centered_field,
     limit_field_variance,
     limit_mean_variance,
@@ -78,6 +80,8 @@ class ExperimentConfig:
 
     @property
     def N(self) -> int:
+        """The particle count of a subcommand that runs one N."""
+        _require(len(self.N_list) == 1, f"field 'N' must be one integer for {self.subcommand}, got {list(self.N_list)}")
         return self.N_list[0]
 
 
@@ -254,26 +258,29 @@ def _provenance(cfg: ExperimentConfig) -> dict:
 
 
 def _auto_K(cfg: ExperimentConfig, mean: MeanPath) -> int:
-    return cfg.K if cfg.K >= 1 else suggested_state_count(mean.m_final)
+    """K of a birth-ladder run, from the solved mean when ``cfg.K`` is 0; refused when a
+    ladder step is not monotone or the limit law's tail beyond K is not negligible."""
+    K = cfg.K if cfg.K >= 1 else suggested_state_count(mean.m_final)
+    _require_monotone_steps(mean)
+    limit_law(mean, mean.grid.T, K)
+    return K
 
 
-def _run_meanfield(cfg: ExperimentConfig) -> ResultBundle:
+def _run_meanfield(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[dict, dict, bool]:
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
-    report = validate_assumptions(cfg.kernel, cfg.rate, cfg.T)
     rows = zip(mean.grid.points.tolist(), mean.m.tolist(), mean.lam.tolist())
     art = {"meanfield.csv": _csv("t,m,lambda", rows)}
     summary = {
-        "provenance": _provenance(cfg),
         "final_m": mean.m_final,
         "final_lambda": float(mean.lam[-1]),
         "stability_margin": report.stability_margin,
         "assumptions_passed": report.passed,
         "warnings": list(report.warnings),
     }
-    return ResultBundle(summary=summary, artifacts=art, passed=True)
+    return summary, art, True
 
 
-def _run_simulate(cfg: ExperimentConfig) -> ResultBundle:
+def _run_simulate(cfg: ExperimentConfig, report: None) -> tuple[dict, dict, bool]:
     kind = cfg.params.get("kind", "hawkes")
     if kind == "hawkes":
         log = simulate_hawkes(cfg.N, cfg.kernel, cfg.rate, cfg.T, cfg.seed)
@@ -287,21 +294,19 @@ def _run_simulate(cfg: ExperimentConfig) -> ResultBundle:
         "events.csv": event_log_to_csv(log).encode(),
     }
     summary = {
-        "provenance": _provenance(cfg),
         "kind": kind,
         "total_jumps": log.total_jumps,
         "mean_count": log.total_jumps / log.N,
     }
-    return ResultBundle(summary=summary, artifacts=art, passed=True)
+    return summary, art, True
 
 
-def _variance_ratio(cfg: ExperimentConfig, samples, limit_var: float, band: float, art: dict, **extra) -> ResultBundle:
+def _variance_ratio(samples, limit_var: float, band: float, art: dict, **extra) -> tuple[dict, dict, bool]:
     """Pass when the samples' variance over the limit variance lies in 1 +- band."""
     emp_var = float(np.var(samples, ddof=1))
     ratio = emp_var / limit_var
     ok = (1.0 - band) <= ratio <= (1.0 + band)
     summary = {
-        "provenance": _provenance(cfg),
         **extra,
         "empirical_variance": emp_var,
         "limit_variance": limit_var,
@@ -309,7 +314,7 @@ def _variance_ratio(cfg: ExperimentConfig, samples, limit_var: float, band: floa
         "band": band,
         "pass": ok,
     }
-    return ResultBundle(summary=summary, artifacts=art, passed=ok)
+    return summary, art, ok
 
 
 def _ratio_band(cfg: ExperimentConfig, limit_var: float, default: float) -> float:
@@ -321,7 +326,7 @@ def _ratio_band(cfg: ExperimentConfig, limit_var: float, default: float) -> floa
     return float(band)
 
 
-def _run_clt_check(cfg: ExperimentConfig) -> ResultBundle:
+def _run_clt_check(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[dict, dict, bool]:
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
     limit_var = limit_mean_variance(mean, cfg.kernel, cfg.rate)
     band = _ratio_band(cfg, limit_var, 0.10)
@@ -332,10 +337,10 @@ def _run_clt_check(cfg: ExperimentConfig) -> ResultBundle:
     )
     x = math.sqrt(cfg.N) * (np.asarray(zbars) - mean.m_final)
     art = {"clt_samples.csv": _csv("replica,scaled_deviation", enumerate(x.tolist()))}
-    return _variance_ratio(cfg, x, limit_var, band, art)
+    return _variance_ratio(x, limit_var, band, art)
 
 
-def _run_field_clt_check(cfg: ExperimentConfig) -> ResultBundle:
+def _run_field_clt_check(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[dict, dict, bool]:
     x0 = cfg.params.get("state", 0)
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
     K = _auto_K(cfg, mean)
@@ -348,10 +353,10 @@ def _run_field_clt_check(cfg: ExperimentConfig) -> ResultBundle:
         cfg.workers,
     )
     art = {"field_clt_empirical.csv": _csv("replica,projection", enumerate(emp))}
-    return _variance_ratio(cfg, emp, limit_var, band, art, state=x0, K=K)
+    return _variance_ratio(emp, limit_var, band, art, state=x0, K=K)
 
 
-def _run_couple_scaling(cfg: ExperimentConfig) -> ResultBundle:
+def _run_couple_scaling(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[dict, dict, bool]:
     if len(cfg.N_list) < 3:
         raise ConfigError("couple-scaling needs >= 3 values in 'N' to regress a slope")
     slope_max = _param_number(cfg.params, "slope_max", -0.35)
@@ -372,34 +377,30 @@ def _run_couple_scaling(cfg: ExperimentConfig) -> ResultBundle:
         max_particle = float(np.mean([r[1] for r in res]))
         mean_diffs.append(per_particle)
         rows.append((n_particles, per_particle, max_particle))
+    art = {"couple_scaling.csv": _csv("N,mean_sup_diff,mean_max_sup_diff", rows)}
     if all(d == 0.0 for d in mean_diffs):
         summary = {
-            "provenance": _provenance(cfg),
             "degenerate": True,
             "slope": None,
             "pass": True,
             "note": "all coupled differences exactly zero (identical intensities)",
         }
-        art = {"couple_scaling.csv": _csv("N,mean_sup_diff,mean_max_sup_diff", rows)}
-        return ResultBundle(summary=summary, artifacts=art, passed=True)
+        return summary, art, True
     logs_n = np.log(np.asarray(cfg.N_list, dtype=float))
     logs_d = np.log(np.asarray(mean_diffs))
     slope, intercept = np.polyfit(logs_n, logs_d, 1)
     ok = slope_min <= slope <= slope_max
-    art = {"couple_scaling.csv": _csv("N,mean_sup_diff,mean_max_sup_diff", rows)}
     summary = {
-        "provenance": _provenance(cfg),
         "degenerate": False,
         "slope": float(slope),
         "intercept": float(intercept),
         "window": [slope_min, slope_max],
         "pass": bool(ok),
     }
-    return ResultBundle(summary=summary, artifacts=art, passed=bool(ok))
+    return summary, art, bool(ok)
 
 
-def _run_exp_moment(cfg: ExperimentConfig) -> ResultBundle:
-    report = validate_assumptions(cfg.kernel, cfg.rate, cfg.T)
+def _run_exp_moment(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[dict, dict, bool]:
     thetas_n = cfg.params.get("theta_times_N", [0.01, 0.05])
     _require(
         isinstance(thetas_n, list) and thetas_n and all(_is_number(v) and v >= 0 for v in thetas_n),
@@ -433,7 +434,6 @@ def _run_exp_moment(cfg: ExperimentConfig) -> ResultBundle:
         rows.append((tn, est, se, bound, ok))
     art = {"exp_moment.csv": _csv("theta_times_N,estimate,std_error,bound,pass", rows)}
     summary = {
-        "provenance": _provenance(cfg),
         "rows": [
             {"theta_times_N": r[0], "estimate": r[1], "std_error": r[2], "bound": r[3], "pass": r[4]}
             for r in rows
@@ -441,15 +441,15 @@ def _run_exp_moment(cfg: ExperimentConfig) -> ResultBundle:
         "warnings": warnings,
         "pass": all_ok,
     }
-    return ResultBundle(summary=summary, artifacts=art, passed=all_ok)
+    return summary, art, all_ok
 
 
 def _named_test_function(name: str, grid: TimeGrid, K: int, x0: int = 1) -> dev.TestFunction:
-    if name in ("identity", "ell"):
+    if name == "identity":
         return dev.TestFunction.identity(grid, K)
     if name == "indicator":
         return dev.TestFunction.indicator_geq(grid, K, x0)
-    if name in ("t_identity", "t_ell"):
+    if name == "t_identity":
         return dev.TestFunction.monomial(grid, K, 1, 1)
     raise ConfigError(f"unknown test-function family {name!r}")
 
@@ -481,7 +481,7 @@ def _mdp_functionals(
     return mu, forms.rate()[0], 0.5 * forms.inner(psi, psi), worst
 
 
-def _run_mdp_rate(cfg: ExperimentConfig) -> ResultBundle:
+def _run_mdp_rate(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[dict, dict, bool]:
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
     spec = cfg.params.get("eta", {"family": "linear", "scale": 1.0})
     _require(isinstance(spec, dict), "params.eta must be an object")
@@ -513,14 +513,13 @@ def _run_mdp_rate(cfg: ExperimentConfig) -> ResultBundle:
     value = dev.rate_mean(eta, mean, cfg.kernel, cfg.rate)
     art = {"eta.csv": _csv("t,eta", zip(mean.grid.points.tolist(), eta.eta.tolist()))}
     summary = {
-        "provenance": _provenance(cfg),
         "rate": value if math.isfinite(value) else "inf",
         "finite": math.isfinite(value),
     }
-    return ResultBundle(summary=summary, artifacts=art, passed=True)
+    return summary, art, True
 
 
-def _run_mdp_field(cfg: ExperimentConfig) -> ResultBundle:
+def _run_mdp_field(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[dict, dict, bool]:
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
     K = _auto_K(cfg, mean)
     spec = cfg.params.get("psi", {"family": "identity"})
@@ -537,17 +536,16 @@ def _run_mdp_field(cfg: ExperimentConfig) -> ResultBundle:
         "mu_field.csv": mu.to_csv(),
     }
     summary = {
-        "provenance": _provenance(cfg),
         "K": K,
         "rate_estimate": i_est,
         "half_inner_psi_psi": half_norm,
         "max_duality_residual": resid,
         "final_projection": float(proj[-1]),
     }
-    return ResultBundle(summary=summary, artifacts=art, passed=True)
+    return summary, art, True
 
 
-def _run_mdp_duality(cfg: ExperimentConfig) -> ResultBundle:
+def _run_mdp_duality(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[dict, dict, bool]:
     resid_tol = _param_number(cfg.params, "residual_tol", 1e-6)
     rate_tol = _param_number(cfg.params, "rate_tol", 0.01)
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
@@ -567,7 +565,6 @@ def _run_mdp_duality(cfg: ExperimentConfig) -> ResultBundle:
         "duality.csv": _csv("psi,max_residual,half_inner,rate_estimate,rate_rel_err,pass", rows)
     }
     summary = {
-        "provenance": _provenance(cfg),
         "K": K,
         "rows": [
             {
@@ -584,7 +581,7 @@ def _run_mdp_duality(cfg: ExperimentConfig) -> ResultBundle:
         "rate_tol": rate_tol,
         "pass": all_ok,
     }
-    return ResultBundle(summary=summary, artifacts=art, passed=all_ok)
+    return summary, art, all_ok
 
 
 _RUNNERS = {
@@ -599,23 +596,28 @@ _RUNNERS = {
     "mdp-duality": _run_mdp_duality,
 }
 SUBCOMMANDS = tuple(_RUNNERS)
-# the limit-theorem checks refuse a model that fails the standing assumptions
-_NEEDS_ASSUMPTIONS = set(_RUNNERS) - {"meanfield", "simulate"}
 
 
 def run(cfg: ExperimentConfig) -> ResultBundle:
-    """Dispatch a parsed config to its pipeline; deterministic given (config, seed)."""
+    """Dispatch a parsed config to its pipeline; deterministic given (config, seed).
+
+    Every pipeline but ``simulate`` gets the model's assumption report: ``meanfield``
+    reports a failed one, and the limit-theorem checks refuse to run on it.  A
+    pipeline returns (summary, artifacts, passed), and its summary gets the provenance.
+    """
     if cfg.subcommand not in _RUNNERS:
         raise ConfigError(f"unknown subcommand {cfg.subcommand!r}")
-    if cfg.subcommand in _NEEDS_ASSUMPTIONS:
+    report = None
+    if cfg.subcommand != "simulate":
         report = validate_assumptions(cfg.kernel, cfg.rate, cfg.T)
-        if not report.passed:
+        if not report.passed and cfg.subcommand != "meanfield":
             raise ConfigError(
                 "model fails the standing assumptions "
                 f"(stability margin {report.stability_margin:.6g}); "
                 "limit-theorem checks refuse to run: " + "; ".join(report.warnings)
             )
-    return _RUNNERS[cfg.subcommand](cfg)
+    summary, artifacts, passed = _RUNNERS[cfg.subcommand](cfg, report)
+    return ResultBundle(summary={"provenance": _provenance(cfg), **summary}, artifacts=artifacts, passed=passed)
 
 
 def write_bundle(bundle: ResultBundle, outdir: str) -> None:

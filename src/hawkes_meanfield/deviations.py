@@ -69,18 +69,17 @@ class TestFunction:
 
     ``grad[k, x] = values[k, x+1] - values[k, x]`` with the boundary column
     grad[:, K] set to zero (one-sided zero extension of the gradient at the
-    truncation edge, flagged by ``boundary_zeroed``).  No time derivative is
-    kept: the quadratures in this module pair value differences instead (see
-    the module docstring).  Both tables are read-only.  A function constant
-    in time (``identity``, ``indicator_geq``) stores one state row, and its
-    tables are ``np.broadcast_to`` views of that row with time stride 0.
+    truncation edge).  No time derivative is kept: the quadratures in this
+    module pair value differences instead (see the module docstring).  Both
+    tables are read-only.  A function constant in time (``identity``,
+    ``indicator_geq``) stores one state row, and its tables are
+    ``np.broadcast_to`` views of that row with time stride 0.
     """
 
     grid: TimeGrid
     K: int
     values: np.ndarray
     grad: np.ndarray
-    boundary_zeroed: bool = True
 
     @staticmethod
     def _grad(v: np.ndarray) -> np.ndarray:
@@ -158,16 +157,6 @@ class MeanDeviationPath:
         v.flags.writeable = False
         d.flags.writeable = False
         return cls(grid=grid, eta=v, eta_deriv=d, ac_flag=ac_flag)
-
-    @classmethod
-    def from_density(cls, grid: TimeGrid, density) -> "MeanDeviationPath":
-        d = np.array(density, dtype=float)
-        if d.shape != (grid.n,):
-            raise ValueError("density needs one value per grid cell")
-        v = np.concatenate([[0.0], np.cumsum(d) * grid.dt])
-        v.flags.writeable = False
-        d.flags.writeable = False
-        return cls(grid=grid, eta=v, eta_deriv=d, ac_flag=True)
 
 
 def _check_match(a_grid: TimeGrid, b_grid: TimeGrid, a_K: int, b_K: int) -> None:

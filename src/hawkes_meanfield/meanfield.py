@@ -234,16 +234,13 @@ def solve_mean(kernel: Kernel, rate: RateFn, T: float, dt: float) -> MeanPath:
     return MeanPath(grid, _freeze(cum), _freeze(lam), _freeze(exc))
 
 
-def _poisson_pmf(mean: float, K: int) -> tuple[np.ndarray, float]:
-    pmf = np.zeros(K + 1)
-    if mean == 0.0:
-        pmf[0] = 1.0
-        return pmf, 0.0
-    pmf[0] = math.exp(-mean)
+def _poisson_rows(m: np.ndarray, K: int) -> np.ndarray:
+    """Poisson(m_i) pmfs on {0..K}, one row per mean, by p(x+1) = p(x) m / (x+1)."""
+    out = np.zeros((m.size, K + 1))
+    out[:, 0] = np.exp(-m)
     for x in range(K):
-        pmf[x + 1] = pmf[x] * mean / (x + 1)
-    tail = max(1.0 - float(np.sum(pmf)), 0.0)
-    return pmf, tail
+        out[:, x + 1] = out[:, x] * m / (x + 1)
+    return out
 
 
 def suggested_state_count(mean_value: float) -> int:
@@ -257,7 +254,8 @@ def limit_law(mean: MeanPath, t: float, K: int) -> LimitLaw:
         raise ValueError(f"limit_law needs K >= 1, got {K}")
     k = mean.grid.index_of(t)
     mt = float(mean.m[k])
-    pmf, tail = _poisson_pmf(mt, K)
+    pmf = _poisson_rows(mean.m[k : k + 1], K)[0]
+    tail = max(1.0 - float(np.sum(pmf)), 0.0)
     if tail > _TAIL_THRESHOLD:
         raise TruncationError(
             f"tail mass {tail:.3e} beyond K={K} exceeds {_TAIL_THRESHOLD:.1e}; "
@@ -268,9 +266,4 @@ def limit_law(mean: MeanPath, t: float, K: int) -> LimitLaw:
 
 def limit_law_path(mean: MeanPath, K: int) -> np.ndarray:
     """Matrix of Poisson pmfs along the grid: row k is the law at t_k on {0..K}."""
-    n = mean.grid.n
-    out = np.zeros((n + 1, K + 1))
-    out[:, 0] = np.exp(-mean.m)
-    for x in range(K):
-        out[:, x + 1] = out[:, x] * mean.m / (x + 1)
-    return out
+    return _poisson_rows(mean.m, K)

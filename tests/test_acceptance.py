@@ -26,7 +26,6 @@ from hawkes_meanfield.engine import (
 )
 from hawkes_meanfield.fluct import (
     FieldPath,
-    _variance_lyapunov,
     centered_field,
     limit_mean_variance,
     simulate_limit_field,
@@ -34,6 +33,7 @@ from hawkes_meanfield.fluct import (
 from hawkes_meanfield.meanfield import limit_law_path, solve_mean
 from hawkes_meanfield.model import Kernel, RateFn
 from hawkes_meanfield.rng import derive_seed
+from lyapunov_reference import _variance_lyapunov
 
 EXP_KERNEL = Kernel.exponential(1.0, 2.0)
 AFFINE_RATE = RateFn.affine(1.0, 1.0)

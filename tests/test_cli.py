@@ -699,3 +699,50 @@ def test_mdp_field_refuses_a_birth_ladder_step_that_is_not_monotone(tmp_path, ca
     assert cli.main(["mdp-field", "--config", _write(tmp_path, cfg), "--output", out]) == 2
     assert "not monotone" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("subcommand", ["field-clt-check", "mdp-field", "mdp-duality"])
+def test_lattice_runs_refuse_a_state_count_with_a_poisson_tail(tmp_path, capsys, subcommand):
+    # Poisson(1.37) puts 5.4e-4 of its mass beyond K = 6; mdp-field once ran
+    # there with a duality residual of 0.03
+    cfg = {**EXPLIN, "dt": 0.01, "K": 6, "N": 50, "replicas": 4}
+    out = str(tmp_path / "o")
+    assert cli.main([subcommand, "--config", _write(tmp_path, cfg), "--output", out]) == 2
+    assert "tail mass" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "clt-check", "field-clt-check", "exp-moment"])
+def test_one_particle_count_subcommands_refuse_a_list_of_N(tmp_path, capsys, monkeypatch, subcommand):
+    # each runs one N; it used to run the first entry and record all three
+    monkeypatch.setattr(cli, "simulate_hawkes", lambda *a: pytest.fail("a particle system ran"))
+    cfg = {**HOMOG, "dt": 0.01, "N": [50, 5000, 100000], "replicas": 4}
+    out = str(tmp_path / "o")
+    assert cli.main([subcommand, "--config", _write(tmp_path, cfg), "--output", out]) == 2
+    assert "field 'N'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("subcommand", sorted(STRICT_JSON_CASES))
+def test_every_summary_carries_the_provenance_of_its_config(subcommand):
+    cfg = cli.build_config(STRICT_JSON_CASES[subcommand], subcommand)
+    assert cli.run(cfg).summary["provenance"] == cli._provenance(cfg)
+
+
+@pytest.mark.parametrize("subcommand, validations", [("meanfield", 1), ("exp-moment", 1), ("simulate", 0)])
+def test_assumptions_are_validated_once_per_run(tmp_path, monkeypatch, subcommand, validations):
+    calls = []
+    real = cli.validate_assumptions
+    monkeypatch.setattr(cli, "validate_assumptions", lambda *a: calls.append(a) or real(*a))
+    cfg = {**HOMOG, "dt": 0.01, "N": 50, "replicas": 4}
+    assert cli.main([subcommand, "--config", _write(tmp_path, cfg), "--output", str(tmp_path / "o")]) == 0
+    assert len(calls) == validations
+
+
+@pytest.mark.parametrize("family", ["ell", "t_ell"])
+def test_psi_family_aliases_are_unknown(tmp_path, capsys, family):
+    cfg = {**HOMOG, "dt": 0.01, "params": {"psi": {"family": family}}}
+    out = str(tmp_path / "o")
+    assert cli.main(["mdp-field", "--config", _write(tmp_path, cfg), "--output", out]) == 2
+    assert f"unknown test-function family {family!r}" in capsys.readouterr().err
+    assert not os.path.exists(out)

@@ -8,9 +8,7 @@ from hawkes_meanfield.meanfield import TruncationError, limit_law_path, solve_me
 from hawkes_meanfield.model import Kernel, RateFn
 from hawkes_meanfield.engine import EventLog, simulate_coupled, simulate_hawkes
 from hawkes_meanfield.fluct import (
-    SpeedSequence,
     _ladder_path,
-    _variance_lyapunov,
     centered_field,
     limit_field_variance,
     limit_mean_variance,
@@ -18,6 +16,7 @@ from hawkes_meanfield.fluct import (
     simulate_limit_mean,
 )
 from hawkes_meanfield.rng import derive_seed
+from lyapunov_reference import _variance_lyapunov
 
 
 def _coarse_mean(kernel, rate, n=100):
@@ -96,13 +95,6 @@ def test_projection_identity(exp_kernel, affine_rate, explin_mean):
     direct = math.sqrt(N) * (zbar - explin_mean.m)
     correction = math.sqrt(N) * (explin_mean.m - law @ states)
     assert np.max(np.abs(proj - correction - direct)) <= 1e-10
-
-
-def test_speed_sequence_validation():
-    with pytest.raises(ValueError):
-        SpeedSequence(gamma=0.5)
-    with pytest.raises(ValueError):
-        SpeedSequence(gamma=0.0)
 
 
 def test_limit_mean_same_seed_identical(exp_kernel, affine_rate):
