@@ -36,6 +36,11 @@ therefore run in this order: the interacting intensity against the dominating
 rate at each candidate during the walk, then the limit intensity at every
 candidate after it, where the first violating candidate raises
 ``SimulationError``.
+
+For an affine phi the interacting system has a second exact sampler,
+``simulate_cluster``: its superposition is a linear Hawkes process, drawn
+generation by generation from its immigrant-offspring form in numpy.  It is
+equal in law to thinning, not path by path, and has no coupled or tilted mode.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ __all__ = [
     "simulate_hawkes",
     "simulate_coupled",
     "simulate_perturbed",
+    "simulate_cluster",
     "sup_path_difference",
     "event_log_to_bytes",
     "event_log_from_bytes",
@@ -74,6 +80,9 @@ _RATE_CEILING = 1e12
 # particle: a bound near the ceiling would otherwise draw the whole horizon
 # at once, though the next jump overflows it
 _ROUND_SPAN = 1024.0
+# largest child-count mean of the cluster sampler: exp(-mean), where its
+# Poisson inversion starts, stays a normal float
+_POISSON_MEAN_CEILING = 700.0
 
 
 class SimulationError(RuntimeError):
@@ -527,6 +536,119 @@ def simulate_perturbed(
         "perturbed", N, kernel, rate, T, seed, grad_psi=grad, psi_grid=psi_grid, tilt=float(tilt)
     )
     return EventLog._from_flat(N, T, *flat, seed, "perturbed")
+
+
+def _kernel_mass(kernel: Kernel, T: float):
+    """H(tau) = int_0^tau h for tau in [0, T], and its inverse, as array functions.
+
+    The inverse maps y in [0, H(tau)] to a lag whose H is y; callers clip it
+    to tau, which only rounding can exceed.  ``ValueError`` if h < 0
+    somewhere on [0, T].
+    """
+    if kernel.kind == "tabulated":
+        # h on [0, T] is linear between these knots, so H is quadratic between them
+        knots = np.append(kernel.grid[kernel.grid < T], T)
+        vals = np.interp(knots, kernel.grid, kernel.values)
+        if np.any(vals < 0.0):
+            raise ValueError("the cluster sampler needs h >= 0 on [0, T]")
+        widths = np.diff(knots)
+        slopes = np.append(np.diff(vals) / widths, 0.0)  # flat past T, reached only by rounding
+        cum = np.concatenate(([0.0], np.cumsum(widths * 0.5 * (vals[:-1] + vals[1:]))))
+
+        def mass(tau):
+            j = np.searchsorted(knots, tau, side="right") - 1
+            x = tau - knots[j]
+            return cum[j] + x * (vals[j] + 0.5 * slopes[j] * x)
+
+        def inverse(y):
+            # x with vals[j] x + slopes[j] x^2 / 2 = r, in the form without cancellation
+            j = np.searchsorted(cum, y, side="right") - 1
+            r = y - cum[j]
+            den = vals[j] + np.sqrt(np.maximum(vals[j] ** 2 + 2.0 * slopes[j] * r, 0.0))
+            return knots[j] + np.divide(2.0 * r, den, out=np.zeros_like(r), where=den > 0.0)
+
+        return mass, inverse
+    if kernel.a < 0.0:
+        raise ValueError("the cluster sampler needs h >= 0 on [0, T]")
+    if kernel.kind == "exponential":
+        scale, b = kernel.a / kernel.b, kernel.b
+        return (
+            lambda tau: scale * -np.expm1(-b * tau),
+            lambda y: -np.log1p(-np.minimum(y / scale, 1.0)) / b,
+        )
+    level = kernel.a if kernel.kind == "constant" else 0.0
+    return (lambda tau: level * tau), (lambda y: y / level)
+
+
+def _poisson_inverse(mu: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Poisson(mu_i) counts by inversion: the least k with u_i < P(Poisson(mu_i) <= k)."""
+    p = np.exp(-mu)
+    cdf = p.copy()
+    k = np.zeros(mu.size, dtype=np.int64)
+    live = np.flatnonzero(u >= cdf)
+    while live.size:
+        k[live] += 1
+        p[live] *= mu[live] / k[live]
+        cdf[live] += p[live]
+        # a cdf that rounding stalls below u stops once its terms vanish past the mode
+        live = live[(u[live] >= cdf[live]) & ((p[live] > 0.0) | (k[live] <= mu[live]))]
+    return k
+
+
+def simulate_cluster(N: int, kernel: Kernel, rate: RateFn, T: float, seed: int) -> EventLog:
+    """Exact-in-law sample of the N-particle system for an affine phi, by its cluster form.
+
+    For phi(x) = base + slope * x the superposition of the N particles is a
+    linear Hawkes process (Hawkes & Oakes 1974): immigrants arrive at rate
+    N * base, an event at s has Poisson(slope * H(T - s)) children on (s, T]
+    with H = int_0 h, whose lags have density h / H(T - s), and each event
+    belongs to a particle drawn uniformly and independently.  The log is drawn
+    generation by generation: immigrants as exponential spacings, child counts
+    by Poisson inversion, lags by the exact inverse of H, then the owners.
+    Generation g draws its words from ``MarkStream(seed, g)`` in that order.
+
+    Equal in law to :func:`simulate_hawkes`, not path by path.  ``ValueError``
+    for a non-affine phi, a kernel negative on [0, T], or a child count whose
+    mean exceeds the range of the inversion.
+    """
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
+    if not T > 0:
+        raise ValueError(f"need T > 0, got {T}")
+    if rate.kind != "affine":
+        raise ValueError(f"the cluster sampler needs an affine rate, got {rate.kind!r}")
+    mass, inverse = _kernel_mass(kernel, T)
+    reach = rate.slope * float(mass(np.float64(T)))  # the largest child-count mean
+    if not reach <= _POISSON_MEAN_CEILING:
+        raise ValueError(f"child counts of mean above {_POISSON_MEAN_CEILING} are out of the inversion's range")
+    stream = MarkStream(seed, 0)
+    immigration = N * rate.base
+    expected = immigration * T
+    block = int(expected + 6.0 * math.sqrt(expected)) + 16
+    arrivals = np.zeros(1)
+    while arrivals[-1] <= T:
+        gaps = -np.log1p(-stream.uniforms(block)) / immigration
+        arrivals = np.concatenate([arrivals, arrivals[-1] + np.cumsum(gaps)])
+    parents = arrivals[1 : np.searchsorted(arrivals, T, side="right")]
+    times = [parents]
+    owners = [stream.uniforms(parents.size)]
+    generation = 0
+    while parents.size and reach > 0.0:
+        generation += 1
+        stream = MarkStream(seed, generation)
+        room = T - parents
+        masses = mass(room)
+        kids = _poisson_inverse(rate.slope * masses, stream.uniforms(parents.size))
+        n = int(kids.sum())
+        words = stream.uniforms(2 * n)  # the lags' words, then the owners'
+        lags = np.minimum(inverse(words[:n] * np.repeat(masses, kids)), np.repeat(room, kids))
+        parents = np.minimum(np.repeat(parents, kids) + lags, T)
+        times.append(parents)
+        owners.append(words[n:])
+    times = np.concatenate(times)
+    order = np.argsort(times, kind="stable")
+    owner = (np.concatenate(owners)[order] * N).astype(np.int64)
+    return EventLog._from_flat(N, T, *_particle_major(times[order], owner, N), seed, "hawkes")
 
 
 def sup_path_difference(a: EventLog, b: EventLog) -> np.ndarray:

@@ -124,7 +124,7 @@ def test_simulate_artifacts_round_trip(tmp_path):
 def test_clt_check_homogeneous_passes(tmp_path):
     cfg = dict(HOMOG)
     cfg["N"] = 1000
-    cfg["replicas"] = 300
+    cfg["replicas"] = 2500
     path = _write(tmp_path, cfg)
     out = str(tmp_path / "clt")
     rc = cli.main(["clt-check", "--config", path, "--output", out])
@@ -164,7 +164,7 @@ TAB_MODEL = {
 }
 GOLDEN_CONFIGS = {
     "field-clt-check": {
-        "model": TAB_MODEL, "T": 1.0, "dt": 0.001, "N": 60, "replicas": 12, "seed": 808,
+        "model": TAB_MODEL, "T": 1.0, "dt": 0.001, "N": 60, "replicas": 32, "seed": 808,
         "params": {"band": 0.9},
     },
     "couple-scaling": {
@@ -185,10 +185,13 @@ GOLDEN_CONFIGS = {
 # variance became the exact backward pass in place of limit-field replicas
 # (``spde_variance`` -> ``limit_variance``, and its ``ratio``), and
 # field_clt_spde.csv went away; field_clt_empirical.csv kept every byte.
+# Both field-clt-check digests were re-recorded when replicas at an affine phi
+# went to the cluster sampler, a new sample of the same law, and the golden
+# config to 32 replicas (ratio 0.6079 -> 0.7502).
 GOLDEN_ARTIFACTS = {
     "field-clt-check": {
-        "field_clt_empirical.csv": "07867c26fe4efb5d214d580e9a998251f0f4f4f857680828dc8da0875d544eaa",
-        "summary.json": "62614a817d14561539f95c4d9b40253b59d6ea63287d390f717aca8c12c35830",
+        "field_clt_empirical.csv": "5abc8ce4ecfe33a1f01c768291eeffeda98ee59a206f51332cc4d0ebd2e64a1b",
+        "summary.json": "0e53468945f1cff899a55d9d476b1b697455166bb5950c8829b8cc42c3d6ff16",
     },
     "couple-scaling": {
         "couple_scaling.csv": "0d3a04175e96845377f6f229d424ed575c4c73a1bfe25c8e8fc2091fd436b071",
@@ -295,6 +298,32 @@ def test_couple_scaling_degenerate_homogeneous(tmp_path):
     assert rc == 0
     s = _summary(out)
     assert s["degenerate"] is True and s["pass"] is True
+
+
+def test_couple_scaling_with_some_zero_rungs_reports_no_slope(tmp_path):
+    # a weak kernel and 2 replicas: the coupled logs agree at N = 20 and 80 but
+    # not at 40, where the log of 0 used to give the slope NaN
+    cfg = {
+        "model": {
+            "kernel": {"type": "exponential", "a": 0.05, "b": 2.0},
+            "rate": {"type": "affine", "base": 1.0, "slope": 1.0},
+        },
+        "T": 1.0, "dt": 0.001, "N": [20, 40, 80], "replicas": 2, "seed": 1,
+    }
+    out = str(tmp_path / "o")
+    assert cli.main(["couple-scaling", "--config", _write(tmp_path, cfg), "--output", out]) == 1
+    with open(os.path.join(out, "summary.json")) as fh:
+        s = json.load(fh, parse_constant=_refuse_constant)
+    assert s["slope"] is None and s["pass"] is False and s["degenerate"] is False
+    assert "N = [20, 80]" in s["note"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_write_bundle_refuses_a_summary_that_is_not_strict_json(tmp_path, value):
+    out = str(tmp_path / "o")
+    with pytest.raises(ValueError):
+        cli.write_bundle(cli.ResultBundle({"ratio": value}, {"a.csv": b"x\n"}, True), out)
+    assert not os.path.exists(out)
 
 
 def test_mdp_rate_linear_family(tmp_path):
@@ -461,7 +490,7 @@ def test_field_clt_check_oracle_runs_on_the_solver_grid(tmp_path, monkeypatch):
     # the retired knobs field_dt and field_replicas are ignored, and the
     # limit field is never simulated
     params = {"band": 0.99, "state": 2, "field_dt": 0.01, "field_replicas": 400}
-    cfg = {**GOLDEN_CONFIGS["field-clt-check"], "N": 50, "replicas": 8, "params": params}
+    cfg = {**GOLDEN_CONFIGS["field-clt-check"], "N": 50, "replicas": 32, "params": params}
     solves = []
     real_solve = cli.solve_mean
     monkeypatch.setattr(cli, "solve_mean", lambda *a: solves.append(a) or real_solve(*a))
@@ -716,11 +745,23 @@ def test_lattice_runs_refuse_a_state_count_with_a_poisson_tail(tmp_path, capsys,
 def test_one_particle_count_subcommands_refuse_a_list_of_N(tmp_path, capsys, monkeypatch, subcommand):
     # each runs one N; it used to run the first entry and record all three
     monkeypatch.setattr(cli, "simulate_hawkes", lambda *a: pytest.fail("a particle system ran"))
+    monkeypatch.setattr(cli, "simulate_cluster", lambda *a: pytest.fail("a particle system ran"))
     cfg = {**HOMOG, "dt": 0.01, "N": [50, 5000, 100000], "replicas": 4}
     out = str(tmp_path / "o")
     assert cli.main([subcommand, "--config", _write(tmp_path, cfg), "--output", out]) == 2
     assert "field 'N'" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+CONCAVE_RATE = {"type": "tabulated", "grid": [0.0, 1.0, 4.0], "values": [1.0, 2.0, 2.5]}
+
+
+@pytest.mark.parametrize("subcommand", ["clt-check", "field-clt-check", "exp-moment"])
+@pytest.mark.parametrize("rate, unused", [(EXPLIN["model"]["rate"], "simulate_hawkes"), (CONCAVE_RATE, "simulate_cluster")])
+def test_replicas_take_the_cluster_sampler_exactly_at_an_affine_rate(tmp_path, monkeypatch, subcommand, rate, unused):
+    monkeypatch.setattr(cli, unused, lambda *a: pytest.fail(f"{unused} ran"))
+    cfg = {**EXPLIN, "model": {**EXPLIN["model"], "rate": rate}, "dt": 0.01, "K": 0, "N": 40, "replicas": 4}
+    assert cli.main([subcommand, "--config", _write(tmp_path, cfg), "--output", str(tmp_path / "o")]) in (0, 1)
 
 
 @pytest.mark.parametrize("subcommand", sorted(STRICT_JSON_CASES))

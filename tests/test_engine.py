@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from hawkes_meanfield import engine
+from hawkes_meanfield.fluct import limit_mean_variance
 from hawkes_meanfield.meanfield import MeanPath, TimeGrid, solve_mean
 from hawkes_meanfield.model import Kernel, RateFn
 from hawkes_meanfield.engine import (
@@ -782,3 +783,112 @@ def test_tabulated_memory_matches_the_interpolated_sum(seed, knots, dyadic, N):
         if jump:
             memory.add(t)
             reference.add(t)
+
+
+# --- the cluster sampler -------------------------------------------------------
+
+_CLUSTER_KERNELS = {"exp": Kernel.exponential(1.0, 2.0), "tab": TAB}
+# replicas a rung of the affine identities: the variance ratio's SE is about
+# 0.035, so a 3-SE band holds it to about +-0.1
+_IDENTITY_REPLICAS = 2000
+
+
+def _totals(sampler, N, kernel, rate, bank, replicas):
+    return np.array([sampler(N, kernel, rate, 1.0, derive_seed(bank, rep)).total_jumps for rep in range(replicas)])
+
+
+@pytest.mark.parametrize("sampler", [engine.simulate_cluster, simulate_hawkes], ids=["cluster", "thinning"])
+@pytest.mark.parametrize("name", sorted(_CLUSTER_KERNELS))
+def test_affine_identities_hold_at_every_N(sampler, name, affine_rate):
+    # For an affine phi the total count is a linear Hawkes process, so
+    # E Zbar_T = m_T and N Var Zbar_T = Var X_T at every N: a sampler test
+    # with no limit in it, on frozen seed banks (one a rung)
+    kernel = _CLUSTER_KERNELS[name]
+    mean = solve_mean(kernel, affine_rate, 1.0, 1e-3)
+    limit_var = limit_mean_variance(mean, kernel, affine_rate)
+    for bank, N in ((41, 4), (42, 16), (43, 64)):
+        zbar = _totals(sampler, N, kernel, affine_rate, bank, _IDENTITY_REPLICAS) / N
+        R = zbar.size
+        dev = zbar - zbar.mean()
+        s2 = float(np.mean(dev**2)) * R / (R - 1)
+        gap_se = (zbar.mean() - mean.m_final) / math.sqrt(s2 / R)
+        # delta-method SE of the sample variance from the sample fourth moment
+        ratio = N * s2 / limit_var
+        ratio_se = N * math.sqrt(max(float(np.mean(dev**4)) - s2**2, 0.0) / R) / limit_var
+        assert abs(gap_se) <= 3.0, f"N={N}: E Zbar - m_T is {gap_se:.2f} SE"
+        assert abs(ratio - 1.0) <= 3.0 * ratio_se, f"N={N}: N Var / Var X_T = {ratio:.4f} +- {ratio_se:.4f}"
+
+
+def test_cluster_matches_thinning_in_law(exp_kernel, affine_rate):
+    # frozen seeds: KS on the totals, and chi-square on particle 0's count
+    # (one particle a replica, so the samples are independent)
+    N, R = 16, 2000
+    logs = {
+        name: [sampler(N, exp_kernel, affine_rate, 1.0, derive_seed(bank, rep)) for rep in range(R)]
+        for name, sampler, bank in (("cluster", engine.simulate_cluster, 51), ("thinning", simulate_hawkes, 52))
+    }
+    totals = {k: np.array([log.total_jumps for log in v]) for k, v in logs.items()}
+    assert stats.ks_2samp(totals["cluster"], totals["thinning"]).pvalue > 0.01
+    first = {k: np.array([int(log.sizes[0]) for log in v]) for k, v in logs.items()}
+    table = np.array([np.bincount(first[k], minlength=12)[:12] for k in logs], dtype=float)
+    table[:, -1] += [np.sum(first[k] >= 12) for k in logs]
+    while table[:, -1].sum() < 10.0:  # merge sparse tail cells
+        table = np.column_stack([table[:, :-2], table[:, -2:].sum(axis=1)])
+    assert stats.chi2_contingency(table).pvalue > 0.01
+
+
+def test_cluster_zero_kernel_is_a_poisson_system(zero_kernel, const2_rate):
+    log = engine.simulate_cluster(5000, zero_kernel, const2_rate, 1.0, seed=101)
+    assert chi_square_poisson_p(log.counts(1.0), 2.0) > 0.01
+    assert stats.kstest(log.times, "uniform").pvalue > 0.01
+
+
+def test_cluster_constant_kernel_keeps_the_affine_identities():
+    kernel, rate = Kernel.constant(0.5), RateFn.affine(1.0, 1.0)
+    mean = solve_mean(kernel, rate, 1.0, 1e-3)
+    limit_var = limit_mean_variance(mean, kernel, rate)
+    N, R = 16, 2000
+    zbar = _totals(engine.simulate_cluster, N, kernel, rate, 61, R) / N
+    assert abs(zbar.mean() - mean.m_final) <= 3.0 * zbar.std(ddof=1) / math.sqrt(R)
+    assert N * zbar.var(ddof=1) / limit_var == pytest.approx(1.0, abs=3.0 * math.sqrt(2.0 / (R - 1)))
+
+
+@pytest.mark.parametrize("name", sorted(_CLUSTER_KERNELS))
+def test_cluster_same_seed_same_bytes(name, affine_rate):
+    kernel = _CLUSTER_KERNELS[name]
+    a, b, c = (engine.simulate_cluster(300, kernel, affine_rate, 1.0, seed) for seed in (5, 5, 6))
+    assert event_log_to_bytes(a) == event_log_to_bytes(b) != event_log_to_bytes(c)
+    # a valid record: times in (0, T], sorted within each particle
+    assert event_log_to_bytes(event_log_from_bytes(event_log_to_bytes(a))) == event_log_to_bytes(a)
+    assert a.kind == "hawkes" and a.sizes.sum() == a.total_jumps
+
+
+@pytest.mark.parametrize("name", ["tab", "spike"])
+def test_cluster_kernel_mass_inverts_exactly(name):
+    kernel = TAB if name == "tab" else Kernel.tabulated([0.0, 0.005, 0.015, 20.0], [0.0, 90.0, 0.0, 0.0])
+    T = 1.0
+    mass, inverse = engine._kernel_mass(kernel, T)
+    lags = np.linspace(0.0, T, 4001)
+    # H against a fine trapezoid sum of the interpolant
+    fine = np.linspace(0.0, T, 400001)
+    h = kernel.eval(fine)
+    reference = np.concatenate([[0.0], np.cumsum(np.diff(fine) * 0.5 * (h[1:] + h[:-1]))])[::100]
+    assert np.max(np.abs(mass(lags) - reference)) <= 1e-9
+    y = mass(lags)
+    back = inverse(y)
+    # a lag where h = 0 is not unique: compare through H
+    assert np.max(np.abs(mass(np.minimum(back, T)) - y)) <= 1e-12 * y[-1]
+
+
+def test_cluster_refuses_what_it_cannot_sample_exactly(exp_kernel, affine_rate):
+    concave = RateFn.tabulated([0.0, 1.0, 4.0], [1.0, 2.0, 2.5])
+    with pytest.raises(ValueError, match="affine"):
+        engine.simulate_cluster(10, exp_kernel, concave, 1.0, seed=1)
+    dip = Kernel.tabulated([0.0, 0.5, 1.0], [1.0, -0.2, 0.0])
+    with pytest.raises(ValueError, match="h >= 0"):
+        engine.simulate_cluster(10, dip, affine_rate, 1.0, seed=1)
+    # only h on [0, T] enters the law
+    late_dip = Kernel.tabulated([0.0, 1.0, 2.0], [1.0, 0.5, -1.0])
+    assert engine.simulate_cluster(10, late_dip, affine_rate, 1.0, seed=1).total_jumps > 0
+    with pytest.raises(ValueError, match="inversion"):
+        engine.simulate_cluster(10, Kernel.constant(1e3), affine_rate, 1.0, seed=1)
