@@ -19,9 +19,28 @@ across particles are broken by particle index.
 Since the dominating rate never falls, every candidate whose clock lies within
 ``(T - t) * lbar`` of the current clock maps to a time in (0, T], whatever
 jumps come first.  The walk therefore proceeds in rounds: all candidates
-inside that bound draw their marks and next clocks at once, one lexsort by
-(clock, particle) merges them, and they are accepted one by one.  Each stream
-draws exactly the words a candidate-by-candidate walk would draw.
+inside that bound draw their marks and next clocks at once, and a sort by
+(clock, particle) merges them.  Each stream draws exactly the words a
+candidate-by-candidate walk would draw.  The interacting and tilted modes
+then accept a round's candidates one by one in Python, drawing through
+``MarkStream``.
+
+The coupled mode walks the same rounds in numpy.  Its streams are arrays
+(``rng.StreamArray``): a round mixes all its words at once, reads each mark
+exactly, takes each gap's logarithm with ``math.log`` over the array, and sums
+each stream's clocks in order.  The sorted round is then decided in
+speculative blocks of about N candidates: guess which are accepted, compute
+from the guess the dominating rate of each candidate (from the running count
+of accepts), its time (a cumsum, whose in-order additions give the scalar
+walk's bits) and the excitation (one vectorized memory per kernel kind),
+decide ``u * lbar < phi(x)`` again, and commit every candidate up to and
+including the first decision that differs from its guess: each decision
+depends only on earlier ones.  Jump times depend only on the clocks and the
+count of accepts, never on the bits of the intensity, whose last bits could
+decide an accept only at an exact tie with ``u * lbar``.  So numpy's ``exp``
+may enter the intensity, but only libm's ``log`` enters a clock: numpy's
+vectorized ``log`` and ``exp`` differ from libm's in the last bit on some
+arguments, and on which ones depends on the host.
 
 Each particle consumes its own counter-based stream, which is what makes the
 shared-randomness coupling and the tilted variant well defined: the same
@@ -55,7 +74,7 @@ import numpy as np
 
 from .meanfield import MeanPath, TimeGrid
 from .model import Kernel, RateFn, _scalar_rate, kernel_norms
-from .rng import MarkStream
+from .rng import MarkStream, StreamArray, exponential_of, uniform_of
 
 __all__ = [
     "EventLog",
@@ -80,6 +99,9 @@ _RATE_CEILING = 1e12
 # particle: a bound near the ceiling would otherwise draw the whole horizon
 # at once, though the next jump overflows it
 _ROUND_SPAN = 1024.0
+# a speculative block of the coupled walk ends before the exponential
+# kernel's growth factor e^{b (t - t_0)} passes e^50, far from overflow
+_EXP_SPAN = 50.0
 # largest child-count mean of the cluster sampler: exp(-mean), where its
 # Poisson inversion starts, stays a normal float
 _POISSON_MEAN_CEILING = 700.0
@@ -167,7 +189,8 @@ def _particle_major(times, owner, N: int) -> tuple[np.ndarray, np.ndarray]:
     each particle's times sorted.
     """
     owner = np.asarray(owner, dtype=np.int64)
-    order = np.argsort(owner, kind="stable")
+    # a stable order is unique, and numpy radix-sorts keys of 16 bits or fewer
+    order = np.argsort(owner.astype(np.min_scalar_type(N)), kind="stable")
     return np.asarray(times, dtype=float)[order], np.bincount(owner, minlength=N)
 
 
@@ -260,6 +283,97 @@ def _make_cache(kernel: Kernel, N: int):
     return _GenericCache(kernel, N)
 
 
+class _ConstBlock:
+    # the coupled walk's memories read sum_i h(t_k - t_i) / N at a block of
+    # candidate times t_0 <= t_1 <= ... from the committed jumps and a guess
+    # of which of the block's candidates are accepted (``before`` counts the
+    # jumps, committed or guessed, before each candidate); ``commit(n,
+    # accepted)`` then keeps the first n candidates of the last block read.
+    # h constant (zero included): level * (jumps so far) / N
+    def __init__(self, level: float, N: int):
+        self.per_jump = level / N
+
+    def values(self, ts, guess, before):
+        return self.per_jump * before
+
+    def commit(self, n, accepted):
+        pass
+
+
+class _ExpBlock:
+    # h(t) = a e^{-bt}: the committed jumps' decayed sum s at t_ref, and with
+    # x_k = b (t_k - t_0) over a block
+    #     value_k = a/N e^{-x_k} (s e^{-b (t_0 - t_ref)} + sum_{j<k accepted} e^{x_j}).
+    # A block ends before x passes _EXP_SPAN, so values() may read fewer
+    # candidates than it is given.
+    def __init__(self, a: float, b: float, N: int):
+        self.a_over_n = a / N
+        self.b = b
+        self.s = 0.0
+        self.t_ref = 0.0
+
+    def values(self, ts, guess, before):
+        x = ts - ts[0]
+        x *= self.b
+        n = int(x.searchsorted(_EXP_SPAN, side="right"))  # x[0] = 0, so n >= 1
+        self.ts, self.x, self.grow = ts, x[:n], np.exp(x[:n])
+        self.s0 = self.s * math.exp(-self.b * (ts[0] - self.t_ref))
+        jumps = self.grow * guess[:n]
+        # the jumps before each candidate: cumsum less its own term, whose
+        # rounding the decay e^{-x} then scales down to an ulp of the value
+        sums = jumps.cumsum()
+        sums -= jumps
+        sums += self.s0
+        sums *= np.exp(-self.x)
+        sums *= self.a_over_n
+        return sums
+
+    def commit(self, n, accepted):
+        self.s = (self.s0 + float(self.grow[:n][accepted].sum())) * math.exp(-self.x[n - 1])
+        self.t_ref = float(self.ts[n - 1])
+
+
+class _TabBlock:
+    # tabulated kernel, _GenericCache's segment sums with its monotone
+    # pointers replaced by searchsorted: with P_j(t) the number of jumps whose
+    # lag t - t_i reached knot g_j, segment j holds P_j - P_{j+1} jumps whose
+    # time sum is a difference of prefix sums
+    def __init__(self, kernel: Kernel, N: int):
+        g, v = kernel.grid, kernel.values
+        self.knots = g[1:, None]
+        self.starts = g[:-1, None]
+        self.heights = v[:-1, None]
+        self.slopes = (np.diff(v) / np.diff(g))[:, None]
+        self.tail = v[-1]
+        self.times = np.zeros(0)  # committed jump times
+        self.sums = np.zeros(1)  # their prefix sums, from 0
+        self.inv_n = 1.0 / N
+
+    def values(self, ts, guess, before):
+        self.ts = ts
+        new = ts[guess]
+        times = np.concatenate((self.times, new))
+        sums = np.concatenate((self.sums, self.sums[-1] + np.cumsum(new)))
+        passed = np.vstack((before, np.searchsorted(times, ts - self.knots, side="right")))
+        counts = passed[:-1] - passed[1:]
+        held = sums[passed[:-1]] - sums[passed[1:]]
+        segments = counts * self.heights + self.slopes * (counts * (ts - self.starts) - held)
+        return (passed[-1] * self.tail + segments.sum(axis=0)) * self.inv_n
+
+    def commit(self, n, accepted):
+        new = self.ts[:n][accepted]
+        self.times = np.concatenate((self.times, new))
+        self.sums = np.concatenate((self.sums, self.sums[-1] + np.cumsum(new)))
+
+
+def _make_block(kernel: Kernel, N: int):
+    if kernel.kind in ("zero", "constant"):
+        return _ConstBlock(kernel.a, N)
+    if kernel.kind == "exponential":
+        return _ExpBlock(kernel.a, kernel.b, N)
+    return _TabBlock(kernel, N)
+
+
 def _limit_intensity(mean: MeanPath, t: np.ndarray) -> np.ndarray:
     """Limit intensity at times ``t`` by linear interpolation on its uniform grid."""
     lam = mean.lam
@@ -281,6 +395,27 @@ def _bound_violation(what: str, lam: float, lam_bar: float, t: float) -> str:
     )
 
 
+def _next_round(pending: np.ndarray, t: float, q_ref: float, lam_bar: float, T: float):
+    """Clock limit and ready streams of the walk's next round, or None once its candidates pass T.
+
+    The dominating rate never falls, so every candidate up to the limit maps
+    to a time <= T however many jumps come first: a round draws the marks and
+    next clocks of all of them at once.  Every stream draws the same words in
+    the same order however the clock is cut into rounds.
+    """
+    # the horizon less a relative 1e-12, so rounding in the walk's running
+    # time cannot carry a candidate of a round past T
+    q_lim = q_ref + min((T * (1.0 - 1e-12) - t) * lam_bar, _ROUND_SPAN)
+    ready = np.flatnonzero(pending <= q_lim)
+    if not ready.size:
+        # the smallest pending candidate decides the stop, as a heap's top would
+        q_lim = float(pending.min())
+        if t + (q_lim - q_ref) / lam_bar > T:
+            return None
+        ready = np.flatnonzero(pending <= q_lim)
+    return q_lim, ready
+
+
 def _run_thinning(
     mode: str,
     N: int,
@@ -299,12 +434,10 @@ def _run_thinning(
         raise ValueError(f"need N >= 1, got {N}")
     if not T > 0:
         raise ValueError(f"need T > 0, got {T}")
-    phi = _scalar_rate(rate)
     phi0 = float(rate.eval(0.0))
     h_sup, _ = kernel_norms(kernel, T)
     # each accepted jump raises the dominating rate by alpha * ||h||_sup / N
     rise = rate.lipschitz * h_sup
-    cache = _make_cache(kernel, N)
     coupled = mode == "coupled"
     tilted = mode == "perturbed"
 
@@ -347,6 +480,12 @@ def _run_thinning(
         stream_indices = range(N)
     elif len(stream_indices) != N:
         raise ValueError(f"need {N} stream indices, got {len(stream_indices)}")
+    if coupled:
+        streams = StreamArray(seed, stream_indices)
+        return _coupled_walk(N, kernel, rate, T, mean, phi0, rise, floor, bound, streams)
+
+    phi = _scalar_rate(rate)
+    cache = _make_cache(kernel, N)
     streams = MarkStream.batch(seed, stream_indices)
     # clock value of each particle's next candidate
     pending = np.array([s.exponential() for s in streams])
@@ -356,14 +495,7 @@ def _run_thinning(
     # accepted jumps as (time, particle), in walk order
     jump_t: list[float] = []
     jump_i: list[int] = []
-    # coupled mode: time and lbar of every candidate walked; its particle and
-    # mark follow from the rounds, which are walked in order
-    cand_t: list[float] = []
-    cand_bar: list[float] = []
-    walk_is: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-    walk_us: list[np.ndarray] = [np.zeros(0)]
     jump_t_add, jump_i_add = jump_t.append, jump_i.append
-    cand_t_add, cand_bar_add = cand_t.append, cand_bar.append
     counts = [0] * N
     total = 0
 
@@ -371,24 +503,13 @@ def _run_thinning(
     q_ref = 0.0
     lam_bar = bound(total)
     slack = lam_bar * (1.0 + 1e-9)
-    # the horizon less a relative 1e-12, so rounding in the walk's running
-    # time cannot carry a candidate of a round past T
-    t_round = T * (1.0 - 1e-12)
 
     walking = True
     while walking:
-        # The dominating rate never falls, so every candidate up to q_lim maps
-        # to a time <= T however many jumps come first: draw the marks and the
-        # next clocks of all of them at once.  Every stream draws the same
-        # words in the same order however the clock is cut into rounds.
-        q_lim = q_ref + min((t_round - t) * lam_bar, _ROUND_SPAN)
-        ready = np.flatnonzero(pending <= q_lim)
-        if not ready.size:
-            # the smallest pending candidate decides the stop, as a heap's top would
-            q_lim = float(pending.min())
-            if t + (q_lim - q_ref) / lam_bar > T:
-                break
-            ready = np.flatnonzero(pending <= q_lim)
+        head = _next_round(pending, t, q_ref, lam_bar, T)
+        if head is None:
+            break
+        q_lim, ready = head
         round_q: list[float] = []
         round_i: list[int] = []
         round_u: list[float] = []
@@ -409,11 +530,7 @@ def _run_thinning(
         # the order they were drawn in
         walk_q, walk_i, walk_u = np.array(round_q), np.array(round_i), np.array(round_u)
         order = np.lexsort((walk_i, walk_q))
-        walk_i, walk_u = walk_i[order], walk_u[order]
-        if coupled:
-            walk_is.append(walk_i)
-            walk_us.append(walk_u)
-        for q, i, u in zip(walk_q[order].tolist(), walk_i.tolist(), walk_u.tolist()):
+        for q, i, u in zip(walk_q[order].tolist(), walk_i[order].tolist(), walk_u[order].tolist()):
             t_cand = t + (q - q_ref) / lam_bar
             if t_cand > T:
                 # only reachable if rounding outgrew the 1e-12 margin: the log
@@ -425,9 +542,6 @@ def _run_thinning(
                 lam = math.exp(tilt * grad_at(t_cand, counts[i])) * phi(value(t_cand))
             else:
                 lam = phi(value(t_cand))
-                if coupled:
-                    cand_t_add(t_cand)
-                    cand_bar_add(lam_bar)
             # the negated form also catches NaN; an assert would vanish under python -O
             if not lam <= slack:
                 raise SimulationError(_bound_violation("intensity", lam, lam_bar, t_cand))
@@ -443,25 +557,134 @@ def _run_thinning(
                 lam_bar = bound(total)
                 slack = lam_bar * (1.0 + 1e-9)
 
-    jumps = _particle_major(jump_t, jump_i, N)
-    if not coupled:
-        return jumps, None
+    return _particle_major(jump_t, jump_i, N), None
+
+
+def _draw_round(streams: StreamArray, pending: np.ndarray, rows: np.ndarray, q_lim: float, span: float):
+    """Clock, particle and mark of every candidate of the streams ``rows`` with clock <= q_lim.
+
+    Each stream's candidates are its pending clock and the running sums of
+    its gaps, each with the mark drawn before the gap, as the scalar walk
+    draws them; ``pending`` and ``streams.used`` move past what is kept.
+    """
+    m = int(span) + 2  # (mark, gap) pairs a stream draws a pass, about its mean count
+    qs, owners, marks = [], [], []
+    while rows.size:
+        words = streams.words(rows, 2 * m)
+        u = uniform_of(words[:, 0::2])
+        clocks = np.cumsum(np.column_stack((pending[rows], exponential_of(words[:, 1::2]))), axis=1)
+        # clocks never fall, so each stream's clocks <= q_lim are a prefix
+        inside = np.count_nonzero(clocks[:, 1:] <= q_lim, axis=1)
+        kept = np.minimum(inside + 1, m)
+        take = np.arange(m) < kept[:, None]
+        qs.append(clocks[:, :-1][take])
+        owners.append(np.repeat(rows, kept))
+        marks.append(u[take])
+        streams.used[rows] += 2 * kept
+        pending[rows] = clocks[np.arange(rows.size), kept]
+        rows = rows[inside == m]
+    return np.concatenate(qs), np.concatenate(owners), np.concatenate(marks)
+
+
+def _coupled_walk(N, kernel, rate, T, mean, phi0, rise, floor, bound, streams):
+    """The coupled mode of ``_run_thinning``: the same walk, decided in speculative blocks."""
+    memory = _make_block(kernel, N)
+    # one jump moves the intensity by at most alpha ||h||_sup / N, so a
+    # guess made across about N candidates settles in a few passes
+    block = min(4096, max(64, N))
+    pending = exponential_of(streams.words(np.arange(N), 1))[:, 0]
+    streams.used += 1
+    # (time, lbar, particle, mark, accepted) of each committed slice
+    walked = [(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool))]
+    total = 0
+    t = 0.0
+    q_ref = 0.0
+    lam_bar = bound(total)
+    accept_rate = phi0 / lam_bar  # guess for candidates no pass has decided
+
+    walking = True
+    while walking:
+        head = _next_round(pending, t, q_ref, lam_bar, T)
+        if head is None:
+            break
+        q_lim, ready = head
+        walk_q, walk_i, walk_u = _draw_round(streams, pending, ready, q_lim, q_lim - q_ref)
+        # the scalar walk's (clock, particle) order: distinct clocks fix it
+        # alone, and equal ones take the stable lexsort
+        order = walk_q.argsort()
+        if (walk_q[order[1:]] == walk_q[order[:-1]]).any():
+            order = np.lexsort((walk_i, walk_q))
+        walk_q, walk_i, walk_u = walk_q[order], walk_i[order], walk_u[order]
+        # clock steps between the round's candidates, the first from q_ref
+        gaps = np.diff(walk_q, prepend=q_ref)
+        guess = np.empty(walk_q.size, dtype=bool)
+        pos = frontier = 0
+        while pos < walk_q.size:
+            end = min(walk_q.size, pos + block)
+            if end > frontier:
+                guess[frontier:end] = walk_u[frontier:end] < accept_rate
+            g = guess[pos:end]
+            before = total + g.cumsum() - g
+            # fmax is bound()'s "if floor > lb" for every lb it can see (a NaN floor is skipped)
+            bars = np.fmax(phi0 + rise * (before / N), floor)
+            # cumsum adds in order, so each time has the scalar walk's bits
+            steps = gaps[pos:end] / bars
+            steps[0] += t
+            ts = steps.cumsum()
+            lam = rate.eval(memory.values(ts, g, before))
+            n = lam.size
+            accept = walk_u[pos : pos + n] * bars[:n] < lam
+            if pos + n >= frontier:
+                frontier = pos + n
+                accept_rate = float(lam[-1] / bars[n - 1])
+            wrong = accept != g[:n]
+            e = int(wrong.argmax())
+            # every decision up to the first wrong guess is exact, that one included
+            exact = e + 1 if wrong[e] else n
+            ts, bars, lam = ts[:exact], bars[:exact], lam[:exact]
+            # where the scalar walk would stop first: a time past T or a bound
+            # at the ceiling (both never fall), or an intensity above its bound
+            below = lam <= bars * (1.0 + 1e-9)
+            v = int(below.argmin())
+            keep = min(
+                exact if below[v] else v,
+                int(ts.searchsorted(T, side="right")),
+                int(bars.searchsorted(_RATE_CEILING)),
+            )
+            if keep:
+                kept = accept[:keep]
+                # copies: a view would hold the whole block's arrays for a few commits
+                walked.append(
+                    (ts[:keep].copy(), bars[:keep].copy(), walk_i[pos : pos + keep], walk_u[pos : pos + keep], kept.copy())
+                )
+                memory.commit(keep, kept)
+                total += int(np.count_nonzero(kept))
+                t = float(ts[keep - 1])
+                q_ref = float(walk_q[pos + keep - 1])
+                lam_bar = bound(total)  # raises where the scalar walk's bound overflows
+            if keep < exact:
+                if ts[keep] > T:
+                    walking = False
+                    break
+                raise SimulationError(
+                    _bound_violation("intensity", float(lam[keep]), float(bars[keep]), float(ts[keep]))
+                )
+            guess[pos : pos + n] = accept
+            pos += keep
+
+    cand_t, bars, cand_i, marks, accepted = map(np.concatenate, zip(*walked))
+    jumps = _particle_major(cand_t[accepted], cand_i[accepted], N)
     # the limit intensity feeds nothing back into the walk: accept the Poisson
-    # log in one pass over the recorded candidates
-    ct = np.asarray(cand_t, dtype=float)
-    bars = np.asarray(cand_bar, dtype=float)
-    walked = ct.size
-    cand_i = np.concatenate(walk_is)[:walked]
-    zl = np.concatenate(walk_us)[:walked] * bars
-    lam_mf = _limit_intensity(mean, ct)
+    # log in one pass over the walked candidates
+    lam_mf = _limit_intensity(mean, cand_t)
     bad = np.flatnonzero(~(lam_mf <= bars * (1.0 + 1e-9)))
     if bad.size:
         j = bad[0]
         raise SimulationError(
-            _bound_violation("limit intensity", float(lam_mf[j]), float(bars[j]), float(ct[j]))
+            _bound_violation("limit intensity", float(lam_mf[j]), float(bars[j]), float(cand_t[j]))
         )
-    hit = zl < lam_mf
-    return jumps, _particle_major(ct[hit], cand_i[hit], N)
+    hit = marks * bars < lam_mf
+    return jumps, _particle_major(cand_t[hit], cand_i[hit], N)
 
 
 def simulate_hawkes(
@@ -675,8 +898,11 @@ def sup_path_difference(a: EventLog, b: EventLog) -> np.ndarray:
     # simultaneous jumps of a and b cancel
     last = np.ones(owner.size, bool)
     last[:-1] = (owner[1:] != owner[:-1]) | (times[1:] != times[:-1])
+    # the largest |difference| of each particle's run of entries
+    owner, gap = owner[last], np.abs(diff[last])
+    heads = np.flatnonzero(np.diff(owner, prepend=-1))
     out = np.zeros(a.N)
-    np.maximum.at(out, owner[last], np.abs(diff[last]))
+    out[owner[heads]] = np.maximum.reduceat(gap, heads)
     return out
 
 

@@ -4,7 +4,8 @@ Every stochastic object in the package draws from a :class:`MarkStream`, a
 counter-mode generator keyed on ``(seed, stream index)``.  The n-th draw of a
 stream is a pure function of ``(seed, index, n)``, so replicas and particles
 can be simulated in any order, on any number of workers, and still produce
-bit-identical output.
+bit-identical output.  :class:`StreamArray` holds many such streams as
+arrays and reads the same draws off the same words.
 
 The mixer is the 64-bit SplitMix finalizer (Steele, Lea & Flood); a stream is
 the SplitMix sequence entered at an avalanche-mixed per-stream key.
@@ -59,6 +60,13 @@ def stream_key(seed: int, index: int) -> int:
     return mix64((base + ((index + 1) * _GOLDEN)) & _MASK64)
 
 
+def _stream_keys(seed: int, indices: Sequence[int]) -> np.ndarray:
+    # vectorized twin of stream_key over an index list
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    base = np.uint64(mix64((seed & _MASK64) ^ _STREAM_SALT))
+    return _mix64_np(base + (idx + 1).astype(np.uint64) * np.uint64(_GOLDEN))
+
+
 def derive_seed(seed: int, index: int) -> int:
     """A 64-bit child seed for replica ``index``, independent of stream keys."""
     base = mix64((seed & _MASK64) ^ _DERIVE_SALT)
@@ -92,16 +100,14 @@ class MarkStream:
         past them fall back to the scalar mixer.  Every draw equals the one
         ``cls(seed, i)`` makes.
         """
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        base = np.uint64(mix64((seed & _MASK64) ^ _STREAM_SALT))
-        keys = _mix64_np(base + (idx + 1).astype(np.uint64) * np.uint64(_GOLDEN))
+        keys = _stream_keys(seed, indices)
         ctr = np.arange(1, PREFETCH + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         top = (_mix64_np(keys[:, None] + ctr[None, :]).reshape(-1) >> np.uint64(11)).astype(np.float64)
         uniforms = memoryview(top * _U53)
         log_args = memoryview((top + 0.5) * _U53)
         new = cls.__new__
         streams = []
-        for key, offset in zip(keys.tolist(), range(-1, idx.size * PREFETCH, PREFETCH)):
+        for key, offset in zip(keys.tolist(), range(-1, keys.size * PREFETCH, PREFETCH)):
             s = new(cls)
             s.key = key
             s.counter = 0
@@ -146,3 +152,40 @@ class MarkStream:
         r = np.sqrt(-2.0 * np.log(u1))
         z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
         return z[:n]
+
+
+class StreamArray:
+    """The streams ``MarkStream(seed, i)`` for every ``i`` in ``indices``, held as arrays.
+
+    ``keys`` holds the key of each stream and ``used`` the words it has
+    consumed.  ``words(rows, n)`` mixes the next ``n`` words of the streams
+    ``rows`` without consuming them; the caller adds what it keeps to
+    ``used``.  Word c of a stream is the word the c-th draw of its
+    ``MarkStream`` reads, and ``uniform_of``/``exponential_of`` turn words
+    into exactly the values ``MarkStream.uniform``/``exponential`` return.
+    """
+
+    def __init__(self, seed: int, indices: Sequence[int]):
+        self.keys = _stream_keys(seed, indices)
+        self.used = np.zeros(self.keys.size, dtype=np.int64)
+
+    def words(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """Words ``used + 1 .. used + n`` of each stream in ``rows``, shape (len(rows), n)."""
+        ctr = (self.used[rows, None] + np.arange(1, n + 1)).astype(np.uint64)
+        return _mix64_np(self.keys[rows, None] + ctr * np.uint64(_GOLDEN))
+
+
+def uniform_of(words: np.ndarray) -> np.ndarray:
+    """The uniform mark ``MarkStream.uniform`` reads off each word."""
+    return (words >> np.uint64(11)).astype(np.float64) * _U53
+
+
+def exponential_of(words: np.ndarray) -> np.ndarray:
+    """The exponential ``MarkStream.exponential`` reads off each word.
+
+    The logarithm is libm's, through ``math.log``: numpy's vectorized log
+    differs from it in the last bit on some arguments, and on some hosts.
+    """
+    args = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
+    logs = np.fromiter(map(math.log, args.ravel().tolist()), dtype=np.float64, count=args.size)
+    return -logs.reshape(args.shape)

@@ -318,6 +318,23 @@ def test_couple_scaling_with_some_zero_rungs_reports_no_slope(tmp_path):
     assert "N = [20, 80]" in s["note"]
 
 
+def test_couple_scaling_all_zero_rungs_of_distinct_intensities_fail(tmp_path):
+    # at seed 3 every rung of the weak kernel reads 0, which the run used to
+    # report as the degenerate model of identical intensities, and pass
+    cfg = {
+        "model": {
+            "kernel": {"type": "exponential", "a": 0.05, "b": 2.0},
+            "rate": {"type": "affine", "base": 1.0, "slope": 1.0},
+        },
+        "T": 1.0, "dt": 0.001, "N": [20, 40, 80], "replicas": 2, "seed": 3,
+    }
+    out = str(tmp_path / "o")
+    assert cli.main(["couple-scaling", "--config", _write(tmp_path, cfg), "--output", out]) == 1
+    s = _summary(out)
+    assert s["slope"] is None and s["pass"] is False and s["degenerate"] is False
+    assert "N = [20, 40, 80]" in s["note"]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_write_bundle_refuses_a_summary_that_is_not_strict_json(tmp_path, value):
     out = str(tmp_path / "o")

@@ -696,6 +696,15 @@ def _counting_streams(draws):
     return Counting
 
 
+def _recording_arrays(made):
+    class Recording(engine.StreamArray):
+        def __init__(self, seed, indices):
+            super().__init__(seed, indices)
+            made.append(self)
+
+    return Recording
+
+
 _WALK_RATES = {"affine": RateFn.affine(1.0, 1.0), "tabulated": RateFn.tabulated([0.0, 1.0, 4.0], [0.8, 1.4, 2.0])}
 _WALK_KERNELS = {
     "zero": Kernel.zero(),
@@ -725,26 +734,15 @@ def _walk_cases(draw):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(_walk_cases())
-def test_round_walk_matches_heap_walk(case):
-    N, T, mode = case["N"], case["T"], case["mode"]
-    kernel, rate = _WALK_KERNELS[case["kernel"]], _WALK_RATES[case["rate"]]
-    mean = _WALK_MEANS[case["kernel"], case["rate"]]
-    grid = TimeGrid.from_T_dt(2.0, 0.05)
-    grad = np.random.default_rng(case["seed"] % 2**32).uniform(-1.0, 1.0, size=(grid.n + 1, 6))
-    extra = dict(
-        mean=mean if mode == "coupled" else None,
-        grad_psi=grad if mode == "perturbed" else None,
-        psi_grid=grid if mode == "perturbed" else None,
-        tilt=case["tilt"] if mode == "perturbed" else 0.0,
-        stream_indices=case["remap"],
-    )
+def _assert_walk_matches_heap_walk(mode, N, kernel, rate, T, seed, **extra):
+    """The engine's walk against the heap walk: the same logs byte for byte, and the same words per stream key."""
     ref_draws, new_draws = Counter(), Counter()
-    want, want_mf = _heap_walk(_counting_streams(ref_draws), mode, N, kernel, rate, T, case["seed"], **extra)
+    want, want_mf = _heap_walk(_counting_streams(ref_draws), mode, N, kernel, rate, T, seed, **extra)
+    arrays = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(engine, "MarkStream", _counting_streams(new_draws))
-        got, got_mf = engine._run_thinning(mode, N, kernel, rate, T, case["seed"], **extra)
+        m.setattr(engine, "StreamArray", _recording_arrays(arrays))
+        got, got_mf = engine._run_thinning(mode, N, kernel, rate, T, seed, **extra)
 
     def record(jumps):
         return event_log_to_bytes(EventLog(N=N, T=T, jumps=jumps, seed=0, kind=mode))
@@ -752,7 +750,89 @@ def test_round_walk_matches_heap_walk(case):
     assert event_log_to_bytes(EventLog._from_flat(N, T, *got, 0, mode)) == record(want)
     if mode == "coupled":
         assert event_log_to_bytes(EventLog._from_flat(N, T, *got_mf, 0, mode)) == record(want_mf)
+        # the coupled walk reads words off array streams, not MarkStream calls:
+        # compare the words each stream key consumed
+        (streams,) = arrays
+        assert not new_draws
+        for key, used in zip(streams.keys.tolist(), streams.used.tolist()):
+            new_draws[key] += used
+        ref_draws = Counter({key: ref_draws[key, "uniform"] + ref_draws[key, "exponential"] for key, _ in ref_draws})
     assert new_draws == ref_draws
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walk_cases())
+def test_round_walk_matches_heap_walk(case):
+    mode = case["mode"]
+    grid = TimeGrid.from_T_dt(2.0, 0.05)
+    grad = np.random.default_rng(case["seed"] % 2**32).uniform(-1.0, 1.0, size=(grid.n + 1, 6))
+    _assert_walk_matches_heap_walk(
+        mode,
+        case["N"],
+        _WALK_KERNELS[case["kernel"]],
+        _WALK_RATES[case["rate"]],
+        case["T"],
+        case["seed"],
+        mean=_WALK_MEANS[case["kernel"], case["rate"]] if mode == "coupled" else None,
+        grad_psi=grad if mode == "perturbed" else None,
+        psi_grid=grid if mode == "perturbed" else None,
+        tilt=case["tilt"] if mode == "perturbed" else 0.0,
+        stream_indices=case["remap"],
+    )
+
+
+@pytest.mark.parametrize("N, seed", [(1000, 71), (4000, 72)])
+@pytest.mark.parametrize("kernel, rate", [("exp", "affine"), ("exp", "tabulated"), ("tabulated", "affine"),
+                                          ("tabulated", "tabulated")])
+def test_coupled_walk_matches_heap_walk_across_blocks(N, seed, kernel, rate):
+    # about 1.5 N candidates a run, walked in blocks of N: the guesses of
+    # later blocks rest on commits of earlier ones
+    mean = _WALK_MEANS[kernel, rate]
+    _assert_walk_matches_heap_walk("coupled", N, _WALK_KERNELS[kernel], _WALK_RATES[rate], 1.0, seed, mean=mean)
+
+
+@pytest.mark.parametrize("N, seed", [(200, 3), (2000, 2)])
+def test_coupled_walk_orders_equal_clocks_by_particle(N, seed):
+    # particles 2k and 2k + 1 share a stream, so every clock and mark comes
+    # twice; with h(0) = 0 a jump raises the bound but not the intensity, so
+    # the first of a tied pair can take the jump the second then misses
+    late = Kernel.tabulated([0.0, 0.1, 1.0], [0.0, 1.0, 0.0])
+    rate = RateFn.affine(1.0, 1.0)
+    _assert_walk_matches_heap_walk(
+        "coupled", N, late, rate, 1.0, seed,
+        mean=solve_mean(late, rate, 1.0, 1e-2), stream_indices=[i // 2 for i in range(N)],
+    )
+
+
+@pytest.mark.parametrize("seed", [81, 82, 83])
+def test_coupled_walk_cuts_blocks_of_a_stiff_exponential_kernel(monkeypatch, seed):
+    # b = 500: a block spans 0.1 time units before e^{b (t - t_0)} passes e^50
+    stiff, rate = Kernel.exponential(1.0, 500.0), RateFn.affine(1.0, 1.0)
+    mean = solve_mean(stiff, rate, 2.0, 1e-4)
+    cuts = []
+    values = engine._ExpBlock.values
+
+    def counting(self, ts, guess, before):
+        out = values(self, ts, guess, before)
+        cuts.append(out.size < ts.size)
+        return out
+
+    monkeypatch.setattr(engine._ExpBlock, "values", counting)
+    _assert_walk_matches_heap_walk("coupled", 5, stiff, rate, 2.0, seed, mean=mean)
+    assert any(cuts)
+
+
+@pytest.mark.parametrize("kernel", ["exp", "tabulated"])
+@pytest.mark.parametrize("rate", ["affine", "tabulated"])
+def test_coupled_and_hawkes_modes_share_candidates_and_marks(kernel, rate):
+    # a limit intensity never above phi(0) leaves the dominating rate of the
+    # coupled walk equal to the interacting walk's, so the interacting logs
+    # of the two modes are the same bytes
+    kernel, rate = _WALK_KERNELS[kernel], _WALK_RATES[rate]
+    low = solve_mean(Kernel.zero(), RateFn.affine(float(rate.eval(0.0)), 0.0), 1.0, 1e-2)
+    coupled = simulate_coupled(1000, kernel, rate, low, 1.0, seed=91)
+    assert event_log_to_bytes(coupled.hawkes) == event_log_to_bytes(simulate_hawkes(1000, kernel, rate, 1.0, seed=91))
+    assert coupled.hawkes.total_jumps > 500
 
 
 @settings(max_examples=200, deadline=None)

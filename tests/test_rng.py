@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawkes_meanfield.rng import PREFETCH, MarkStream, derive_seed, stream_key
+from hawkes_meanfield.rng import PREFETCH, MarkStream, StreamArray, derive_seed, exponential_of, stream_key, uniform_of
 
 
 def test_reproducible_streams():
@@ -75,3 +75,28 @@ def test_batch_builds_instances_of_the_calling_class():
     streams = Sub.batch(3, [4, 1])
     assert all(type(s) is Sub for s in streams)
     assert streams[0].uniform() == MarkStream(3, 4).uniform()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    indices=st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
+    kinds=st.lists(st.booleans(), min_size=1, max_size=2 * PREFETCH),
+    skip=st.integers(0, 5),
+)
+def test_stream_array_reads_the_draws_of_scalar_streams(seed, indices, kinds, skip):
+    # each word read as a uniform or an exponential, after `skip` consumed ones,
+    # has the bits of the matching MarkStream draw
+    streams = StreamArray(seed, indices)
+    rows = np.arange(len(indices))
+    streams.used[rows] += skip
+    words = streams.words(rows, len(kinds))
+    assert streams.used.tolist() == [skip] * len(indices)
+    for row, index in enumerate(indices):
+        ref = MarkStream(seed, index)
+        for _ in range(skip):
+            ref.uniform()
+        for col, exp in enumerate(kinds):
+            word = words[row, col : col + 1]
+            got, want = (exponential_of(word), ref.exponential()) if exp else (uniform_of(word), ref.uniform())
+            assert float(got[0]).hex() == want.hex()
