@@ -19,8 +19,9 @@ import multiprocessing
 import os
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
@@ -89,7 +90,8 @@ class ExperimentConfig:
 @dataclass
 class ResultBundle:
     summary: dict
-    artifacts: dict[str, bytes]
+    # each artifact's bytes, or a writer that renders them into an open binary file
+    artifacts: dict[str, bytes | Callable[[BinaryIO], None]]
     passed: bool
 
 
@@ -243,11 +245,17 @@ def _w_couple(args, rep: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # subcommand pipelines
 
-def _csv(header: str, rows) -> bytes:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return ("\n".join(lines) + "\n").encode()
+def _csv(header: str, *columns) -> Callable[[BinaryIO], None]:
+    """A writer of the CSV table whose columns are the given sequences, floats as
+    their plain ``repr``: the text is rendered when the table is written."""
+
+    def write(fh: BinaryIO) -> None:
+        lines = [header]
+        for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)):
+            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        fh.write(("\n".join(lines) + "\n").encode())
+
+    return write
 
 
 def _provenance(cfg: ExperimentConfig) -> dict:
@@ -277,8 +285,7 @@ def _auto_K(cfg: ExperimentConfig, mean: MeanPath) -> int:
 
 def _run_meanfield(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[dict, dict, bool]:
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
-    rows = zip(mean.grid.points.tolist(), mean.m.tolist(), mean.lam.tolist())
-    art = {"meanfield.csv": _csv("t,m,lambda", rows)}
+    art = {"meanfield.csv": _csv("t,m,lambda", mean.grid.points, mean.m, mean.lam)}
     summary = {
         "final_m": mean.m_final,
         "final_lambda": float(mean.lam[-1]),
@@ -345,7 +352,7 @@ def _run_clt_check(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[dic
         cfg.workers,
     )
     x = math.sqrt(cfg.N) * (np.asarray(zbars) - mean.m_final)
-    art = {"clt_samples.csv": _csv("replica,scaled_deviation", enumerate(x.tolist()))}
+    art = {"clt_samples.csv": _csv("replica,scaled_deviation", range(x.size), x)}
     return _variance_ratio(x, limit_var, band, art)
 
 
@@ -362,7 +369,7 @@ def _run_field_clt_check(cfg: ExperimentConfig, report: AssumptionReport) -> tup
         cfg.replicas,
         cfg.workers,
     )
-    art = {"field_clt_empirical.csv": _csv("replica,projection", enumerate(emp))}
+    art = {"field_clt_empirical.csv": _csv("replica,projection", range(len(emp)), emp)}
     return _variance_ratio(emp, limit_var, band, art, state=x0, K=K)
 
 
@@ -387,7 +394,7 @@ def _run_couple_scaling(cfg: ExperimentConfig, report: AssumptionReport) -> tupl
         max_particle = float(np.mean([r[1] for r in res]))
         mean_diffs.append(per_particle)
         rows.append((n_particles, per_particle, max_particle))
-    art = {"couple_scaling.csv": _csv("N,mean_sup_diff,mean_max_sup_diff", rows)}
+    art = {"couple_scaling.csv": _csv("N,mean_sup_diff,mean_max_sup_diff", *zip(*rows))}
     if cfg.rate.lipschitz * report.sup_norm == 0.0:
         # the model makes the two intensities identical, so the coupled logs agree
         ok = all(d == 0.0 for d in mean_diffs)
@@ -454,7 +461,7 @@ def _run_exp_moment(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[di
         ok = est <= bound * (1.0 + slack)
         all_ok = all_ok and ok
         rows.append((tn, est, se, bound, ok))
-    art = {"exp_moment.csv": _csv("theta_times_N,estimate,std_error,bound,pass", rows)}
+    art = {"exp_moment.csv": _csv("theta_times_N,estimate,std_error,bound,pass", *zip(*rows))}
     summary = {
         "rows": [
             {"theta_times_N": r[0], "estimate": r[1], "std_error": r[2], "bound": r[3], "pass": r[4]}
@@ -497,8 +504,11 @@ def _mdp_functionals(
     forms = dev._Functionals(mean, K, mu, kernel, rate)
     worst = 0.0
     for phi in _probe_basis(mean.grid, K):
+        # Upsilon first: it pairs phi's time differences before phi's
+        # gradient is built, so the two tables never coexist
+        ups = forms.upsilon(phi)
         ip = forms.inner(psi, phi)
-        worst = max(worst, abs(forms.upsilon(phi) - ip) / (1.0 + abs(ip)))
+        worst = max(worst, abs(ups - ip) / (1.0 + abs(ip)))
         del phi  # so that the next direction is built without this one
     return mu, forms.rate()[0], 0.5 * forms.inner(psi, psi), worst
 
@@ -533,7 +543,7 @@ def _run_mdp_rate(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[dict
             raise ConfigError(f"unknown eta family {family!r}")
     eta = dev.MeanDeviationPath.from_values(mean.grid, vals, ac_flag=ac)
     value = dev.rate_mean(eta, mean, cfg.kernel, cfg.rate)
-    art = {"eta.csv": _csv("t,eta", zip(mean.grid.points.tolist(), eta.eta.tolist()))}
+    art = {"eta.csv": _csv("t,eta", mean.grid.points, eta.eta)}
     summary = {
         "rate": value if math.isfinite(value) else "inf",
         "finite": math.isfinite(value),
@@ -554,8 +564,8 @@ def _run_mdp_field(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[dic
     mu, i_est, half_norm, resid = _mdp_functionals(psi, mean, K, cfg.kernel, cfg.rate)
     proj = mu.values @ np.arange(K + 1, dtype=float)
     art = {
-        "mu_projection.csv": _csv("t,mu_ell", zip(mean.grid.points.tolist(), proj.tolist())),
-        "mu_field.csv": mu.to_csv(),
+        "mu_projection.csv": _csv("t,mu_ell", mean.grid.points, proj),
+        "mu_field.csv": mu.to_csv,
     }
     summary = {
         "K": K,
@@ -584,7 +594,7 @@ def _run_mdp_duality(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[d
         all_ok = all_ok and ok
         rows.append((name, worst, half_norm, i_est, rel, ok))
     art = {
-        "duality.csv": _csv("psi,max_residual,half_inner,rate_estimate,rate_rel_err,pass", rows)
+        "duality.csv": _csv("psi,max_residual,half_inner,rate_estimate,rate_rel_err,pass", *zip(*rows))
     }
     summary = {
         "K": K,
@@ -643,15 +653,19 @@ def run(cfg: ExperimentConfig) -> ResultBundle:
 
 
 def write_bundle(bundle: ResultBundle, outdir: str) -> None:
-    """Write summary.json and the artifacts; ``ValueError``, before anything is
-    written, for a summary that strict JSON cannot hold (NaN or an infinity)."""
+    """Write summary.json and then the artifacts in name order, each as its bytes
+    or rendered by its writer into the open file; ``ValueError``, before anything
+    is written, for a summary that strict JSON cannot hold (NaN or an infinity)."""
     text = json.dumps(bundle.summary, sort_keys=True, indent=2, allow_nan=False)
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
     for name, data in sorted(bundle.artifacts.items()):
         with open(os.path.join(outdir, name), "wb") as fh:
-            fh.write(data)
+            if isinstance(data, bytes):
+                fh.write(data)
+            else:
+                data(fh)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -42,12 +42,13 @@ McKean-Vlasov rate.  ``rate_field`` evaluates it over the shared work
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fluct import FieldPath, _ladder, _ladder_path
+from .fluct import _BLOCK, FieldPath, _ladder, _ladder_path
 from .meanfield import Excitation, MeanPath, TimeGrid, limit_law_path
 from .model import Kernel, RateFn
 
@@ -69,22 +70,30 @@ class TestFunction:
 
     ``grad[k, x] = values[k, x+1] - values[k, x]`` with the boundary column
     grad[:, K] set to zero (one-sided zero extension of the gradient at the
-    truncation edge).  No time derivative is kept: the quadratures in this
-    module pair value differences instead (see the module docstring).  Both
-    tables are read-only.  A function constant in time (``identity``,
-    ``indicator_geq``) stores one state row, and its tables are
-    ``np.broadcast_to`` views of that row with time stride 0.
+    truncation edge); it is built on first read.  No time derivative is kept:
+    the quadratures in this module pair value differences instead (see the
+    module docstring).  Both tables are read-only.  A function constant in
+    time (``identity``, ``indicator_geq``) stores one state row, and its
+    tables are ``np.broadcast_to`` views of that row with time stride 0.
     """
 
     grid: TimeGrid
     K: int
     values: np.ndarray
-    grad: np.ndarray
 
     @staticmethod
     def _grad(v: np.ndarray) -> np.ndarray:
         grad = np.zeros_like(v)
         np.subtract(v[..., 1:], v[..., :-1], out=grad[..., :-1])
+        return grad
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        v = self.values
+        if v.strides[0] == 0:
+            return np.broadcast_to(self._grad(v[0]), v.shape)
+        grad = self._grad(v)
+        grad.flags.writeable = False
         return grad
 
     @classmethod
@@ -98,18 +107,13 @@ class TestFunction:
 
     @classmethod
     def _owning(cls, grid: TimeGrid, K: int, v: np.ndarray) -> "TestFunction":
-        """Freeze a fresh C-ordered table v, without a copy, and add its gradient."""
-        grad = cls._grad(v)
+        """Freeze a fresh C-ordered table v, without a copy."""
         v.flags.writeable = False
-        grad.flags.writeable = False
-        return cls(grid=grid, K=K, values=v, grad=grad)
+        return cls(grid=grid, K=K, values=v)
 
     @classmethod
     def _constant_in_time(cls, grid: TimeGrid, K: int, row: np.ndarray) -> "TestFunction":
-        shape = (grid.n + 1, K + 1)
-        values = np.broadcast_to(row, shape)
-        grad = np.broadcast_to(cls._grad(row), shape)
-        return cls(grid=grid, K=K, values=values, grad=grad)
+        return cls(grid=grid, K=K, values=np.broadcast_to(row, (grid.n + 1, K + 1)))
 
     @classmethod
     def identity(cls, grid: TimeGrid, K: int) -> "TestFunction":
@@ -232,7 +236,8 @@ class _Functionals:
         v = mu.values
         pairing = float(v[n] @ phi.values[n])
         # a function constant in time (time stride 0) has no time differences
-        # to pair: the skipped transport term is an exact zero
+        # to pair: the skipped transport term is an exact zero.  The
+        # differences die here, before phi's gradient is read (and built).
         if n and phi.values.strides[0]:
             pairing -= float(np.einsum("kx,kx->", v[1:], phi.values[1:] - phi.values[:-1]))
         drift = float(np.einsum("k,kx,kx->", self.w, v[:n], phi.grad[:n]))
@@ -260,26 +265,31 @@ class _Functionals:
         v = mu.values
         if np.any(v[0] != 0.0):
             raise ValueError("a birth-ladder solution starts at zero")
-        # (a_k(x-1) - a_k(x)) for every step and state
-        step = _ladder(v[:-1])
-        step *= -w[:, None]
-        step += v[1:]
-        step -= v[:-1]
-        feedback = _ladder(law)
-        feedback *= self.w_feedback[:, None]
-        step -= feedback
-        del feedback
-        step /= w[:, None]
+        n = law.shape[0]
         top = (np.diff(mu.mass_defect) - w * v[:-1, K] - self.w_feedback * law[:, K]) / w
-        # a_k(x) = a_k(K) + sum_{y > x} (a_k(y-1) - a_k(y)) for x < K
-        flux = np.cumsum(step[:, :0:-1], axis=1)[:, ::-1]
-        del step
-        flux += top[:, None]
-        reached = law[:, :K] > 0.0
-        if np.any(flux[~reached] != 0.0):
-            raise ValueError("the field carries flux at a state the limit law does not reach")
+        # a, as the reversed view of its C-ordered top-down sums, filled in place
+        sums = np.empty((n, K))
+        flux = sums[:, ::-1]
         grad = np.zeros_like(law)
-        np.divide(flux, law[:, :K], out=grad[:, :K], where=reached)
+        # row by row and elementwise, so each block of steps gives the bits of the whole table
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            # (a_k(x-1) - a_k(x)) for every step of the block and every state
+            step = _ladder(v[lo:hi])
+            step *= -w[lo:hi, None]
+            step += v[lo + 1 : hi + 1]
+            step -= v[lo:hi]
+            feedback = _ladder(law[lo:hi])
+            feedback *= self.w_feedback[lo:hi, None]
+            step -= feedback
+            step /= w[lo:hi, None]
+            # a_k(x) = a_k(K) + sum_{y > x} (a_k(y-1) - a_k(y)) for x < K
+            np.cumsum(step[:, :0:-1], axis=1, out=sums[lo:hi])
+            flux[lo:hi] += top[lo:hi, None]
+            reached = law[lo:hi, :K] > 0.0
+            if np.any(flux[lo:hi][~reached] != 0.0):
+                raise ValueError("the field carries flux at a state the limit law does not reach")
+            np.divide(flux[lo:hi], law[lo:hi, :K], out=grad[lo:hi, :K], where=reached)
         return 0.5 * float(np.einsum("k,kx,kx->", w, flux, grad[:, :K])), grad
 
 
@@ -322,8 +332,7 @@ def solve_linearized(
     if not np.all(np.isfinite(gv)):
         raise ValueError("source values must be finite")
     law = limit_law_path(mean, K)[:n]
-    source = (gv[:n] * law)[None]
-    return _ladder_path(mean, kernel, rate, law, source=source)[0]
+    return _ladder_path(mean, kernel, rate, law, g=gv[None, :n])[0]
 
 
 def linearized_from_test_function(

@@ -885,7 +885,12 @@ def sup_path_difference(a: EventLog, b: EventLog) -> np.ndarray:
     times = np.concatenate([a.times, b.times])
     owner = np.concatenate([_owners(a), _owners(b)])
     step = np.concatenate([np.ones(a.total_jumps, np.int64), -np.ones(b.total_jumps, np.int64)])
-    order = np.lexsort((times, owner))
+    # by particle, then by time: a stable sort by particle of the time order,
+    # on the narrowest unsigned key, which numpy radix-sorts.  The order within
+    # an equal (particle, time) group is never read, because the difference
+    # is read after the last entry of each group.
+    order = np.argsort(times)
+    order = order[np.argsort(owner[order].astype(np.min_scalar_type(a.N)), kind="stable")]
     times, owner, step = times[order], owner[order], step[order]
     # running count_a - count_b within each particle: the global running sum
     # minus its value just before the particle's first event

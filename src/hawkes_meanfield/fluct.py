@@ -31,9 +31,9 @@ one backward pass through the same memory, the scheme's adjoint.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -53,6 +53,9 @@ __all__ = [
 
 # |mass defect| at the horizon beyond which a simulated limit field refuses K
 _DEFECT_THRESHOLD = 1e-6
+# grid steps that the birth-ladder stepper, the field rate and FieldPath.to_csv
+# each take at a time, so that none of their transients is field-sized
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -76,20 +79,23 @@ class FieldPath:
         """<field_t, w> for a state function w given as K+1 weights."""
         return self.values @ np.asarray(weights, dtype=float)
 
-    def to_csv(self) -> bytes:
-        """Long-format export, one row per (grid time, state), floats as plain ``repr``.
+    def to_csv(self, fh: BinaryIO) -> None:
+        """Write the long-format table, one row per (grid time, state), to the binary file ``fh``.
 
-        Returns the ASCII bytes of the table.  Each grid time's rows go
-        straight into one byte buffer, so no copy of the whole table is ever
-        held as text and no field-sized list of Python floats is built.
+        Floats are written as their plain ``repr``, in ASCII.  The rows of
+        ``_BLOCK`` grid times are rendered and written at a time, so no
+        text of the whole table and no field-sized list of Python floats is
+        ever held.
         """
         states = [f",{x}," for x in range(self.K + 1)]
-        buf = io.BytesIO()
-        buf.write(b"t,x,value\n")
-        for t, row in zip(self.grid.points.tolist(), self.values):
-            t_repr = repr(t)
-            buf.write("".join([f"{t_repr}{s}{v!r}\n" for s, v in zip(states, row.tolist())]).encode())
-        return buf.getvalue()
+        points = self.grid.points
+        fh.write(b"t,x,value\n")
+        for lo in range(0, len(points), _BLOCK):
+            chunk = []
+            for t, row in zip(points[lo : lo + _BLOCK].tolist(), self.values[lo : lo + _BLOCK].tolist()):
+                t_repr = repr(t)
+                chunk += [f"{t_repr}{s}{v!r}\n" for s, v in zip(states, row)]
+            fh.write("".join(chunk).encode())
 
 
 def _occupancy(log: EventLog, grid, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,70 +202,73 @@ def _ladder_path(
     kernel: Kernel,
     rate: RateFn,
     law: np.ndarray,
-    source: np.ndarray | None = None,
+    g: np.ndarray | None = None,
     noise: np.ndarray | None = None,
 ) -> list[FieldPath]:
     """Forward-Euler paths of the birth-ladder equation on grid x {0..K}, one per replica.
 
         X_{k+1}(x) = X_k(x) + dt [ lam_k (X_k(x-1) - X_k(x))
                      + phi'(c_k) H_k (Law_k(x-1) - Law_k(x))
-                     + lam_k (source_k(x-1) - source_k(x)) ]
+                     + lam_k (g_k(x-1) Law_k(x-1) - g_k(x) Law_k(x)) ]
                      + sqrt(lam_k dt) (noise_k(x-1) - noise_k(x)),
 
     with X_0 = 0 and H_k the excitation response of <X, ell>.  ``law`` holds
-    one row per step (n x (K+1)); ``source`` and ``noise`` hold such a block
-    per replica (R x n x (K+1)), and the replicas are stepped together.  The
-    flux of each forcing out of state K is dropped into the mass defect.  The
-    limit field drives the ladder with noise sqrt(Law) xi and the linearized
-    dynamics with the source g Law.  Either forcing may be omitted, not both:
-    an omitted forcing is neither allocated nor added, which gives the bits
-    of an explicit zero block, because X starts at +0.0 and a rounded sum is
-    -0.0 only when both of its terms are.  Raises ValueError when
+    one row per step (n x (K+1)); ``g`` and ``noise`` hold such a block per
+    replica (R x n x (K+1), or a view broadcast to it), and the replicas are
+    stepped together.  The flux of each forcing out of state K is dropped
+    into the mass defect.  The limit field drives the ladder with noise
+    sqrt(Law) xi and the linearized dynamics with the source g Law.  Either
+    forcing may be omitted, not both: an omitted forcing is neither allocated
+    nor added, which gives the bits of an explicit zero block, because X
+    starts at +0.0 and a rounded sum is -0.0 only when both of its terms are.
+    The path-free part of each forcing, its source g Law included, is formed
+    for ``_BLOCK`` steps at a time: every operation on it is elementwise,
+    so its bits do not depend on the blocking.  Raises ValueError when
     lam_k dt > 1 for some step.
     """
     _require_monotone_steps(mean)
     grid = mean.grid
     n, dt = grid.n, grid.dt
     K = law.shape[1] - 1
-    R = (noise if source is None else source).shape[0]
+    R = (noise if g is None else g).shape[0]
     phid = np.atleast_1d(rate.deriv(mean.excitation))
     lam = mean.lam
     states = np.arange(K + 1, dtype=float)
-
-    # everything that does not depend on the path, for all steps at once,
-    # time-major so that each step reads one contiguous (R, K+1) block
-    dlaw = _ladder(law)
-    dsource = dnoise = None
-    if source is not None:
-        dsource = _ladder(source)
-        dsource *= lam[:n, None]
-        dsource = np.ascontiguousarray(dsource.transpose(1, 0, 2))
-    if noise is not None:
-        dnoise = np.ascontiguousarray(_ladder(noise).transpose(1, 0, 2))
 
     values = np.zeros((R, n + 1, K + 1))
     conv = np.zeros((n, R))  # H_k of every replica
     memory = Excitation(kernel, grid, replicas=R)
     x = np.zeros((R, K + 1))
     shift_x = np.zeros((R, K + 1))
-    for k in range(n):
-        # <X_k, ell> row by row: a batched product would sum in another order
-        conv[k] = memory.push(np.array([states @ row for row in x]))
-        shift_x[:, 1:] = x[:, :-1]
-        drift = lam[k] * (shift_x - x) + (phid[k] * conv[k])[:, None] * dlaw[k]
-        if dsource is not None:
-            drift += dsource[k]
-        x += dt * drift
-        if dnoise is not None:
-            x += math.sqrt(lam[k] * dt) * dnoise[k]
-        values[:, k + 1] = x
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        # everything that does not depend on the path, for this block of
+        # steps, time-major so that each step reads one contiguous (R, K+1) block
+        dlaw = _ladder(law[lo:hi])
+        if g is not None:
+            dsource = _ladder(g[:, lo:hi] * law[lo:hi])
+            dsource *= lam[lo:hi, None]
+            dsource = np.ascontiguousarray(dsource.transpose(1, 0, 2))
+        if noise is not None:
+            dnoise = np.ascontiguousarray(_ladder(noise[:, lo:hi]).transpose(1, 0, 2))
+        for k in range(lo, hi):
+            # <X_k, ell> row by row: a batched product would sum in another order
+            conv[k] = memory.push(np.array([states @ row for row in x]))
+            shift_x[:, 1:] = x[:, :-1]
+            drift = lam[k] * (shift_x - x) + (phid[k] * conv[k])[:, None] * dlaw[k - lo]
+            if g is not None:
+                drift += dsource[k - lo]
+            x += dt * drift
+            if noise is not None:
+                x += math.sqrt(lam[k] * dt) * dnoise[k - lo]
+            values[:, k + 1] = x
     bad = np.flatnonzero(~np.isfinite(values).all(axis=(0, 2)))
     if bad.size:
         raise FloatingPointError(f"birth-ladder path diverged at step {bad[0] - 1}")
     # flux out of state K at every step, summed in step order from +0.0
     lost = lam[:n] * values[:, :n, K] + phid[:n] * conv.T * law[:, K]
-    if source is not None:
-        lost += lam[:n] * source[:, :, K]
+    if g is not None:
+        lost += lam[:n] * (g[:, :, K] * law[:, K])
     lost *= dt
     if noise is not None:
         lost += np.sqrt(lam[:n] * dt) * noise[:, :, K]

@@ -196,6 +196,16 @@ def test_rate_field_identity_direction(homog):
     assert np.all(grad[:, :K][~reached] == 0.0) and np.all(grad[:, K] == 0.0)
 
 
+def test_rate_field_bits_do_not_depend_on_the_step_block(explin, monkeypatch):
+    kernel, rate, mean = explin
+    g = np.random.default_rng(13).normal(size=(mean.grid.n + 1, K + 1))
+    mu = dev.solve_linearized(g, mean, kernel, rate, K)
+    whole, whole_grad = dev.rate_field(mu, mean, kernel, rate)
+    monkeypatch.setattr(dev, "_BLOCK", 7)
+    blocked, blocked_grad = dev.rate_field(mu, mean, kernel, rate)
+    assert blocked.hex() == whole.hex() and blocked_grad.tobytes() == whole_grad.tobytes()
+
+
 def test_rate_field_refuses_a_non_ladder_field(explin):
     kernel, rate, mean = explin
     rng = np.random.default_rng(11)

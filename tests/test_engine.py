@@ -249,6 +249,35 @@ def test_sup_path_difference_matches_per_particle_reference(pair):
     assert np.array_equal(sup_path_difference(b, a), _sup_path_difference_loop(b, a))
 
 
+@st.composite
+def _shared_log_pairs(draw):
+    # up to 600 particles, so the sort key takes one byte or two, with jumps at
+    # a few particles and at those 256 above them; the second log keeps some of
+    # the first's jumps (shared) and adds its own, and the lattice of times
+    # makes either log repeat a time within one particle
+    n = draw(st.integers(1, 600))
+    some = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    entry = st.tuples(st.sampled_from(some + [i + 256 for i in some if i + 256 < n]), st.integers(1, 8))
+    first = draw(st.lists(entry, max_size=40))
+    kept = draw(st.lists(st.booleans(), min_size=len(first), max_size=len(first)))
+    second = [e for e, keep in zip(first, kept) if keep] + draw(st.lists(entry, max_size=40))
+    logs = []
+    for entries, kind in ((first, "hawkes"), (second, "mf_poisson")):
+        jumps = [[] for _ in range(n)]
+        for i, k in entries:
+            jumps[i].append(k / 8.0)
+        logs.append(EventLog(N=n, T=1.0, jumps=tuple(np.array(sorted(j)) for j in jumps), seed=0, kind=kind))
+    return logs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_log_pairs())
+def test_sup_path_difference_matches_reference_with_shared_and_tied_jumps(pair):
+    a, b = pair
+    assert np.array_equal(sup_path_difference(a, b), _sup_path_difference_loop(a, b))
+    assert np.array_equal(sup_path_difference(b, a), _sup_path_difference_loop(b, a))
+
+
 def test_sup_path_difference_matches_reference_on_coupled_logs(exp_kernel, affine_rate, explin_mean):
     c = simulate_coupled(2000, exp_kernel, affine_rate, explin_mean, 1.0, seed=59)
     got = sup_path_difference(c.hawkes, c.poisson)

@@ -1,9 +1,12 @@
 import hashlib
+import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hawkes_meanfield import fluct
 from hawkes_meanfield.meanfield import TruncationError, limit_law_path, solve_mean
 from hawkes_meanfield.model import Kernel, RateFn
 from hawkes_meanfield.engine import EventLog, simulate_coupled, simulate_hawkes
@@ -229,8 +232,8 @@ def test_limit_field_conservation_and_zero_noise(exp_kernel, affine_rate):
     [
         pytest.param("exp", None, id="exp"),
         pytest.param("tab", None, id="tab"),
-        pytest.param("exp", "source", id="exp-source-only"),
-        pytest.param("tab", "source", id="tab-source-only"),
+        pytest.param("exp", "g", id="exp-source-only"),
+        pytest.param("tab", "g", id="tab-source-only"),
         pytest.param("exp", "noise", id="exp-noise-only"),
         pytest.param("tab", "noise", id="tab-noise-only"),
     ],
@@ -249,9 +252,9 @@ def test_ladder_path_without_forcing_is_exactly_zero(kind, given, exp_kernel, af
         return
     # an omitted forcing gives the bits of an explicit zero block, over two replicas
     rng = np.random.default_rng(17)
-    block = rng.normal(size=(2,) + law.shape) * (law if given == "source" else np.sqrt(law))
+    block = rng.normal(size=(2,) + law.shape) * (1.0 if given == "g" else np.sqrt(law))
     zeros = np.zeros_like(block)
-    pair = (block, zeros) if given == "source" else (zeros, block)
+    pair = (block, zeros) if given == "g" else (zeros, block)
     explicit = _ladder_path(mean, kernel, affine_rate, law, *pair)
     omitted = _ladder_path(mean, kernel, affine_rate, law, **{given: block})
     assert len(omitted) == 2
@@ -261,14 +264,35 @@ def test_ladder_path_without_forcing_is_exactly_zero(kind, given, exp_kernel, af
         assert np.any(b.values != 0.0)
 
 
-def test_field_csv_is_one_byte_table(exp_kernel, affine_rate):
+@pytest.mark.parametrize("given", ["g", "noise"])
+def test_ladder_path_bits_do_not_depend_on_the_step_block(given, monkeypatch, affine_rate):
+    mean = _coarse_mean(TAB, affine_rate, n=200)
+    law = limit_law_path(mean, 20)[:200]
+    rng = np.random.default_rng(23)
+    block = rng.normal(size=(3,) + law.shape) * (1.0 if given == "g" else np.sqrt(law))
+    whole = _ladder_path(mean, TAB, affine_rate, law, **{given: block})
+    monkeypatch.setattr(fluct, "_BLOCK", 7)
+    blocked = _ladder_path(mean, TAB, affine_rate, law, **{given: block})
+    for a, b in zip(whole, blocked):
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.mass_defect.tobytes() == b.mass_defect.tobytes()
+
+
+def test_field_csv_is_one_byte_table(exp_kernel, affine_rate, monkeypatch):
     mean = _coarse_mean(exp_kernel, affine_rate, n=20)
     f = simulate_limit_field(mean, exp_kernel, affine_rate, 15, seed=3)
-    data = f.to_csv()
-    assert isinstance(data, bytes)
+    buf = io.BytesIO()
+    f.to_csv(buf)
+    data = buf.getvalue()
     rows = data.decode("ascii").split("\n")
     assert rows[0] == "t,x,value" and rows[-1] == "" and len(rows) == 2 + 21 * 16
     assert rows[1 + 16 * 7 + 2] == f"{mean.grid.points.tolist()[7]!r},2,{f.values[7, 2].item()!r}"
+    # written as the header and then a few grid times a write, into the same bytes
+    monkeypatch.setattr(fluct, "_BLOCK", 4)
+    chunks = []
+    f.to_csv(SimpleNamespace(write=chunks.append))
+    assert b"".join(chunks) == data
+    assert [c.count(b"\n") for c in chunks] == [1] + [4 * 16] * 5 + [16]
 
 
 def test_limit_field_constant_projection_conserved(exp_kernel, affine_rate):
