@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
 import time
@@ -40,8 +39,8 @@ from .model import (
 from .meanfield import MeanPath, SolverDivergenceError, TimeGrid, limit_law, solve_mean, suggested_state_count
 from .engine import (
     SimulationError,
+    _write_event_log_csv,
     event_log_to_bytes,
-    event_log_to_csv,
     simulate_cluster,
     simulate_coupled,
     simulate_hawkes,
@@ -57,6 +56,7 @@ from .fluct import (
 )
 from . import deviations as dev
 from .rng import derive_seed
+from ._text import write_csv
 
 __all__ = ["ExperimentConfig", "ResultBundle", "ConfigError", "run", "main"]
 
@@ -208,6 +208,9 @@ def build_config(raw: dict, subcommand: str, overrides: dict | None = None) -> E
 def _pmap(fn, count: int, workers: int) -> list:
     if workers <= 1 or count <= 1:
         return [fn(i) for i in range(count)]
+    # imported here, as only a pool needs it: it costs a process about 0.5 MB resident
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     # outputs do not depend on the worker count, so more processes than cores buy nothing
     with ctx.Pool(min(workers, count, os.cpu_count() or 1)) as pool:
@@ -248,14 +251,7 @@ def _w_couple(args, rep: int) -> tuple[float, float]:
 def _csv(header: str, *columns) -> Callable[[BinaryIO], None]:
     """A writer of the CSV table whose columns are the given sequences, floats as
     their plain ``repr``: the text is rendered when the table is written."""
-
-    def write(fh: BinaryIO) -> None:
-        lines = [header]
-        for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)):
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-        fh.write(("\n".join(lines) + "\n").encode())
-
-    return write
+    return lambda fh: write_csv(fh, header, *columns)
 
 
 def _provenance(cfg: ExperimentConfig) -> dict:
@@ -307,7 +303,7 @@ def _run_simulate(cfg: ExperimentConfig, report: None) -> tuple[dict, dict, bool
         raise ConfigError(f"params.kind must be 'hawkes' or 'mf_poisson', got {kind!r}")
     art = {
         "events.bin": event_log_to_bytes(log),
-        "events.csv": event_log_to_csv(log).encode(),
+        "events.csv": functools.partial(_write_event_log_csv, log),
     }
     summary = {
         "kind": kind,
@@ -437,6 +433,12 @@ def _run_exp_moment(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[di
     )
     ci_slack = _param_number(cfg.params, "ci_slack", 3.0)
     phi0 = float(cfg.rate.eval(0.0))
+    # a bound no double holds is refused before any replica is drawn
+    for tn in map(float, thetas_n):
+        try:
+            math.exp(2.0 * tn * phi0 * cfg.T / report.stability_margin)
+        except OverflowError:
+            raise ConfigError(f"theta*N={tn}: the bound exp(2 theta N phi(0) T / margin) overflows a double") from None
     zbars = np.asarray(
         _pmap(
             functools.partial(_w_zbar, (cfg.kernel, cfg.rate, cfg.N, cfg.T, cfg.seed)),

@@ -64,14 +64,16 @@ equal in law to thinning, not path by path, and has no coupled or tilted mode.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
+from . import _text
 from .meanfield import MeanPath, TimeGrid
 from .model import Kernel, RateFn, _scalar_rate, kernel_norms
 from .rng import MarkStream, StreamArray, exponential_of, uniform_of
@@ -948,7 +950,13 @@ def event_log_from_bytes(buf: bytes, kind: str = "hawkes") -> EventLog:
     return EventLog._from_flat(n, t, times.astype(float), counts, int(seed), kind)
 
 
+def _write_event_log_csv(log: EventLog, fh: BinaryIO) -> None:
+    """Write the table ``particle,jump_time``, one row per jump, to the binary file ``fh``."""
+    _text.write_csv(fh, "particle,jump_time", _owners(log), log.times)
+
+
 def event_log_to_csv(log: EventLog) -> str:
-    lines = ["particle,jump_time"]
-    lines.extend([f"{i},{t!r}" for i, t in zip(_owners(log).tolist(), log.times.tolist())])
-    return "\n".join(lines) + "\n"
+    """The text of :func:`_write_event_log_csv`."""
+    buf = io.BytesIO()
+    _write_event_log_csv(log, buf)
+    return buf.getvalue().decode("ascii")

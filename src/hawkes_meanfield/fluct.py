@@ -37,6 +37,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from . import _text
 from .engine import EventLog
 from .meanfield import Excitation, MeanPath, TruncationError, limit_law, limit_law_path
 from .model import Kernel, RateFn
@@ -84,18 +85,13 @@ class FieldPath:
 
         Floats are written as their plain ``repr``, in ASCII.  The rows of
         ``_BLOCK`` grid times are rendered and written at a time, so no
-        text of the whole table and no field-sized list of Python floats is
-        ever held.
+        text of the whole table is ever held.
         """
-        states = [f",{x}," for x in range(self.K + 1)]
-        points = self.grid.points
+        states = np.arange(self.K + 1)[None, :]
+        points = self.grid.points[:, None]
         fh.write(b"t,x,value\n")
         for lo in range(0, len(points), _BLOCK):
-            chunk = []
-            for t, row in zip(points[lo : lo + _BLOCK].tolist(), self.values[lo : lo + _BLOCK].tolist()):
-                t_repr = repr(t)
-                chunk += [f"{t_repr}{s}{v!r}\n" for s, v in zip(states, row)]
-            fh.write("".join(chunk).encode())
+            fh.write(_text.rows(points[lo : lo + _BLOCK], states, self.values[lo : lo + _BLOCK]))
 
 
 def _occupancy(log: EventLog, grid, K: int) -> tuple[np.ndarray, np.ndarray]:

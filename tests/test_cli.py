@@ -1,6 +1,8 @@
 import hashlib
+import io
 import json
 import math
+import multiprocessing
 import os
 import tracemalloc
 
@@ -282,7 +284,7 @@ def test_pmap_pool_is_capped_at_the_core_count(monkeypatch):
     class StubContext:
         Pool = StubPool
 
-    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: StubContext())
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: StubContext())
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert cli._pmap(abs, 20000, 100000) == list(range(20000))
     assert cli._pmap(abs, 2, 100000) == [0, 1]
@@ -858,4 +860,38 @@ def test_psi_family_aliases_are_unknown(tmp_path, capsys, family):
     out = str(tmp_path / "o")
     assert cli.main(["mdp-field", "--config", _write(tmp_path, cfg), "--output", out]) == 2
     assert f"unknown test-function family {family!r}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_csv_writer_keeps_the_old_bytes_on_mixed_columns():
+    # int, float and bool columns as exp_moment.csv has them, with an inf and a -0.0,
+    # as Python sequences and as arrays; the reference is the writer they replaced
+    floats = [0.1, -0.0, float("inf"), 1e-300, 2.5e16, 123456.789]
+    bools = [True, False, True, True, False, False]
+    columns = (range(6), floats, bools, np.arange(-3, 3) * 999, np.array(floats[::-1]), np.array(bools))
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    old = "\n".join(["a,b,c,d,e,f"] + [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows])
+    buf = io.BytesIO()
+    cli._csv("a,b,c,d,e,f", *columns)(buf)
+    assert buf.getvalue() == (old + "\n").encode()
+
+
+def test_exp_moment_bound_overflow_is_a_config_error(tmp_path, capsys):
+    # margin 0.1358, so theta N = 100 puts the bound at exp(1473)
+    cfg = {
+        "model": {
+            "kernel": {"type": "exponential", "a": 1.0, "b": 2.0},
+            "rate": {"type": "affine", "base": 1.0, "slope": 1.999},
+        },
+        "T": 1.0,
+        "dt": 0.01,
+        "N": 50,
+        "replicas": 20,
+        "seed": 3,
+        "params": {"theta_times_N": [0.01, 100]},
+    }
+    out = str(tmp_path / "o")
+    assert cli.main(["exp-moment", "--config", _write(tmp_path, cfg), "--output", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "theta*N=100.0" in err and "overflows" in err
     assert not os.path.exists(out)
