@@ -370,8 +370,8 @@ def _run_field_clt_check(cfg: ExperimentConfig, report: AssumptionReport) -> tup
 
 
 def _run_couple_scaling(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[dict, dict, bool]:
-    if len(cfg.N_list) < 3:
-        raise ConfigError("couple-scaling needs >= 3 values in 'N' to regress a slope")
+    if len(set(cfg.N_list)) < 3:
+        raise ConfigError("couple-scaling needs >= 3 distinct values in 'N' to regress a slope")
     slope_max = _param_number(cfg.params, "slope_max", -0.35)
     slope_min = _param_number(cfg.params, "slope_min", -0.65)
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
@@ -413,7 +413,11 @@ def _run_couple_scaling(cfg: ExperimentConfig, report: AssumptionReport) -> tupl
         return summary, art, False
     logs_n = np.log(np.asarray(cfg.N_list, dtype=float))
     logs_d = np.log(np.asarray(mean_diffs))
-    slope, intercept = np.polyfit(logs_n, logs_d, 1)
+    # the least-squares line in closed form: np.polyfit would fault in LAPACK
+    # code pages at the run's largest heap
+    dx = logs_n - logs_n.mean()
+    slope = (dx @ (logs_d - logs_d.mean())) / (dx @ dx)
+    intercept = logs_d.mean() - slope * logs_n.mean()
     ok = slope_min <= slope <= slope_max
     summary = {
         "degenerate": False,

@@ -2,9 +2,9 @@
 
 All three stochastic systems (the interacting counting processes, the
 inhomogeneous-Poisson comparison system sharing the same randomness, and the
-exponentially tilted variant) are sampled by thinning candidate points against
-a dominating rate.  Candidates live on a common deformed clock: with
-``Lbar(t) = int_0^t lbar(s) ds`` the running integral of the per-particle
+exponentially tilted variant) are sampled by one walk that thins candidate
+points against a dominating rate.  Candidates live on a common deformed clock:
+with ``Lbar(t) = int_0^t lbar(s) ds`` the running integral of the per-particle
 dominating rate, each particle's candidates are the partial sums of its own
 unit exponentials in ``Lbar`` time.  The dominating rate
 
@@ -21,26 +21,27 @@ Since the dominating rate never falls, every candidate whose clock lies within
 jumps come first.  The walk therefore proceeds in rounds: all candidates
 inside that bound draw their marks and next clocks at once, and a sort by
 (clock, particle) merges them.  Each stream draws exactly the words a
-candidate-by-candidate walk would draw.  The interacting and tilted modes
-then accept a round's candidates one by one in Python, drawing through
-``MarkStream``.
+candidate-by-candidate walk would draw.  Only the draws differ by mode: the
+coupled mode holds its streams as arrays (``rng.StreamArray``), mixes a
+round's words at once and takes each gap's logarithm with ``math.log`` over
+the array, while the interacting and tilted modes draw the same values one
+``MarkStream`` call at a time.
 
-The coupled mode walks the same rounds in numpy.  Its streams are arrays
-(``rng.StreamArray``): a round mixes all its words at once, reads each mark
-exactly, takes each gap's logarithm with ``math.log`` over the array, and sums
-each stream's clocks in order.  The sorted round is then decided in
+One accept walk serves all three modes.  It decides the sorted round in
 speculative blocks of about N candidates: guess which are accepted, compute
 from the guess the dominating rate of each candidate (from the running count
-of accepts), its time (a cumsum, whose in-order additions give the scalar
-walk's bits) and the excitation (one vectorized memory per kernel kind),
-decide ``u * lbar < phi(x)`` again, and commit every candidate up to and
-including the first decision that differs from its guess: each decision
-depends only on earlier ones.  Jump times depend only on the clocks and the
-count of accepts, never on the bits of the intensity, whose last bits could
-decide an accept only at an exact tie with ``u * lbar``.  So numpy's ``exp``
-may enter the intensity, but only libm's ``log`` enters a clock: numpy's
-vectorized ``log`` and ``exp`` differ from libm's in the last bit on some
-arguments, and on which ones depends on the host.
+of accepts), its time (a cumsum, whose in-order additions give a
+candidate-by-candidate walk's bits), the excitation (one vectorized memory
+per kernel kind) and, in tilted mode, the count of the candidate's particle
+(its committed jumps plus its guessed ones earlier in the block), decide
+``u * lbar < lambda`` again, and commit every candidate up to and including
+the first decision that differs from its guess: each decision depends only
+on earlier ones.  Jump times depend only on the clocks and the count of
+accepts, never on the bits of the intensity, whose last bits could decide an
+accept only at an exact tie with ``u * lbar``.  So numpy's ``exp`` may enter
+the intensity, but only libm's ``log`` enters a clock: numpy's vectorized
+``log`` and ``exp`` differ from libm's in the last bit on some arguments, and
+on which ones depends on the host.
 
 Each particle consumes its own counter-based stream, which is what makes the
 shared-randomness coupling and the tilted variant well defined: the same
@@ -75,7 +76,7 @@ import numpy as np
 
 from . import _text
 from .meanfield import MeanPath, TimeGrid
-from .model import Kernel, RateFn, _scalar_rate, kernel_norms
+from .model import Kernel, RateFn, kernel_norms
 from .rng import MarkStream, StreamArray, exponential_of, uniform_of
 
 __all__ = [
@@ -196,95 +197,6 @@ def _particle_major(times, owner, N: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(times, dtype=float)[order], np.bincount(owner, minlength=N)
 
 
-class _ConstCache:
-    # h constant (zero included): the convolution is level * (total jumps) / N
-    def __init__(self, level: float, N: int):
-        self.per_jump = level / N
-        self.acc = 0.0
-
-    def add(self, t: float) -> None:
-        self.acc += self.per_jump
-
-    def value(self, t: float) -> float:
-        return self.acc
-
-
-class _ExpCache:
-    # h(t) = a e^{-bt}: decayed jump sum updated in O(1) per event.  The walk
-    # calls add(t) only right after value(t) at the same t, so add reuses the
-    # decay factor that value computed.
-    __slots__ = ("a_over_n", "b", "s", "t_ref", "decay")
-
-    def __init__(self, a: float, b: float, N: int):
-        self.a_over_n = a / N
-        self.b = b
-        self.s = 0.0
-        self.t_ref = 0.0
-        self.decay = 1.0
-
-    def add(self, t: float) -> None:
-        self.s = self.s * self.decay + 1.0
-        self.t_ref = t
-
-    def value(self, t: float) -> float:
-        decay = self.decay = math.exp(-self.b * (t - self.t_ref))
-        return self.a_over_n * self.s * decay
-
-
-class _GenericCache:
-    # tabulated kernel: linear between knots g_0 = 0 < ... < g_m, flat past g_m.
-    # Jumps arrive in time order and the walk asks at nondecreasing times, so
-    # the jumps whose lag has passed knot j form a prefix of the jump list,
-    # tracked by one monotone pointer per knot.  Segment j (lags in
-    # [g_j, g_{j+1})) keeps the count c_j and time sum S_j of its jumps, which
-    # give its share of sum_i h(t - t_i) as c_j v_j + s_j (c_j (t - g_j) - S_j);
-    # each jump past g_m adds v_m.  O(knots) a call, amortized.
-    def __init__(self, kernel: Kernel, N: int):
-        g = kernel.grid.tolist()
-        v = kernel.values.tolist()
-        self.segments = [(g[j], v[j], (v[j + 1] - v[j]) / (g[j + 1] - g[j])) for j in range(len(g) - 1)]
-        self.knots = g[1:]
-        self.tail = v[-1]
-        self.counts = [0] * len(g)  # one per segment, then the jumps past g_m
-        self.sums = [0.0] * len(g)
-        self.passed = [0] * len(self.knots)  # jumps whose lag reached each of g_1..g_m
-        self.times: list[float] = []
-        self.inv_n = 1.0 / N
-
-    def add(self, t: float) -> None:
-        self.times.append(t)
-        self.counts[0] += 1
-        self.sums[0] += t
-
-    def value(self, t: float) -> float:
-        times, counts, sums, passed = self.times, self.counts, self.sums, self.passed
-        n = len(times)
-        for j, g in enumerate(self.knots):
-            p = passed[j]
-            while p < n and t - times[p] >= g:
-                tau = times[p]
-                counts[j] -= 1
-                # an emptied segment restarts its sum at 0, so rounding cannot build up
-                sums[j] = sums[j] - tau if counts[j] else 0.0
-                counts[j + 1] += 1
-                sums[j + 1] += tau
-                p += 1
-            passed[j] = p
-        acc = counts[-1] * self.tail
-        for (g, v, s), c, total in zip(self.segments, counts, sums):
-            if c:
-                acc += c * v + s * (c * (t - g) - total)
-        return acc * self.inv_n
-
-
-def _make_cache(kernel: Kernel, N: int):
-    if kernel.kind in ("zero", "constant"):
-        return _ConstCache(kernel.a, N)
-    if kernel.kind == "exponential":
-        return _ExpCache(kernel.a, kernel.b, N)
-    return _GenericCache(kernel, N)
-
-
 class _ConstBlock:
     # the coupled walk's memories read sum_i h(t_k - t_i) / N at a block of
     # candidate times t_0 <= t_1 <= ... from the committed jumps and a guess
@@ -336,10 +248,10 @@ class _ExpBlock:
 
 
 class _TabBlock:
-    # tabulated kernel, _GenericCache's segment sums with its monotone
-    # pointers replaced by searchsorted: with P_j(t) the number of jumps whose
-    # lag t - t_i reached knot g_j, segment j holds P_j - P_{j+1} jumps whose
-    # time sum is a difference of prefix sums
+    # tabulated kernel, linear between knots g_0 = 0 < ... < g_m, flat past
+    # g_m: with P_j(t) the jumps whose lag t - t_i reached knot g_j (by
+    # searchsorted), segment j holds c_j = P_j - P_{j+1} jumps of time sum S_j
+    # and adds c_j v_j + s_j (c_j (t - g_j) - S_j); each jump past g_m adds v_m
     def __init__(self, kernel: Kernel, N: int):
         g, v = kernel.grid, kernel.values
         self.knots = g[1:, None]
@@ -452,22 +364,10 @@ def _run_thinning(
         floor = float(np.max(mean.lam))
 
     scale = 1.0
+    tilt_of = None
     if tilted:
-        n_psi = psi_grid.n
-        dt_psi = psi_grid.dt
-        k_states = grad_psi.shape[1] - 1
         scale = math.exp(max(0.0, tilt * float(np.max(grad_psi))))
-
-        def grad_at(t: float, x: int) -> float:
-            if x > k_states:
-                return 0.0
-            pos = t / dt_psi
-            k = int(pos)
-            if k >= n_psi:
-                return float(grad_psi[n_psi, x])
-            frac = pos - k
-            g0 = float(grad_psi[k, x])
-            return g0 + frac * (float(grad_psi[k + 1, x]) - g0)
+        tilt_of = _tilt_reader(grad_psi, psi_grid, tilt)
 
     def bound(total: int) -> float:
         lb = phi0 + rise * (total / N)
@@ -478,96 +378,55 @@ def _run_thinning(
             raise SimulationError(f"dominating rate {lb:.3e} overflows; model is pathological")
         return lb
 
+    def bounds(before: np.ndarray) -> np.ndarray:
+        # bound() at each count of a block: fmax is its "if floor > lb" for
+        # every lb it can see (a NaN floor is skipped)
+        bars = np.fmax(phi0 + rise * (before / N), floor)
+        if tilted:
+            bars *= scale
+        return bars
+
     if stream_indices is None:
         stream_indices = range(N)
     elif len(stream_indices) != N:
         raise ValueError(f"need {N} stream indices, got {len(stream_indices)}")
     if coupled:
         streams = StreamArray(seed, stream_indices)
-        return _coupled_walk(N, kernel, rate, T, mean, phi0, rise, floor, bound, streams)
+        pending = exponential_of(streams.words(np.arange(N), 1))[:, 0]
+        streams.used += 1
+        draw = _draw_round
+    else:
+        # the interacting and tilted modes draw through MarkStream's methods,
+        # which the benchmark's tracer counts
+        streams = MarkStream.batch(seed, stream_indices)
+        pending = np.array([s.exponential() for s in streams])
+        draw = _draw_calls
+    return _walk(N, kernel, rate, T, mean if coupled else None, phi0, bound, bounds, tilt_of, streams, draw, pending)
 
-    phi = _scalar_rate(rate)
-    cache = _make_cache(kernel, N)
-    streams = MarkStream.batch(seed, stream_indices)
-    # clock value of each particle's next candidate
-    pending = np.array([s.exponential() for s in streams])
-    value = cache.value
-    add = cache.add
 
-    # accepted jumps as (time, particle), in walk order
-    jump_t: list[float] = []
-    jump_i: list[int] = []
-    jump_t_add, jump_i_add = jump_t.append, jump_i.append
-    counts = [0] * N
-    total = 0
+def _tilt_reader(grad_psi: np.ndarray, grid: TimeGrid, tilt: float):
+    """exp(tilt * grad_psi) at times ``ts`` and counts ``x``, with grad_psi
+    linear in t on ``grid``, flat past its end and 0 past its last state."""
+    n, dt, top = grid.n, grid.dt, grad_psi.shape[1] - 1
 
-    t = 0.0
-    q_ref = 0.0
-    lam_bar = bound(total)
-    slack = lam_bar * (1.0 + 1e-9)
+    def tilt_of(ts: np.ndarray, x: np.ndarray) -> np.ndarray:
+        pos = ts / dt
+        k = pos.astype(np.int64)
+        kc, xc = np.minimum(k, n - 1), np.minimum(x, top)
+        g0 = grad_psi[kc, xc]
+        inside = g0 + (pos - k) * (grad_psi[kc + 1, xc] - g0)
+        return np.exp(tilt * np.where(x > top, 0.0, np.where(k >= n, grad_psi[n, xc], inside)))
 
-    walking = True
-    while walking:
-        head = _next_round(pending, t, q_ref, lam_bar, T)
-        if head is None:
-            break
-        q_lim, ready = head
-        round_q: list[float] = []
-        round_i: list[int] = []
-        round_u: list[float] = []
-        q_add, i_add, u_add = round_q.append, round_i.append, round_u.append
-        after: list[float] = []
-        after_add = after.append
-        for i, q in zip(ready.tolist(), pending[ready].tolist()):
-            stream = streams[i]
-            while q <= q_lim:
-                q_add(q)
-                i_add(i)
-                u_add(stream.uniform())
-                q += stream.exponential()
-            after_add(q)
-        pending[ready] = after
-        # walk the round in (clock, particle) order, the order of a heap of
-        # (q, i) pairs; lexsort is stable, so a particle's equal clocks keep
-        # the order they were drawn in
-        walk_q, walk_i, walk_u = np.array(round_q), np.array(round_i), np.array(round_u)
-        order = np.lexsort((walk_i, walk_q))
-        for q, i, u in zip(walk_q[order].tolist(), walk_i[order].tolist(), walk_u[order].tolist()):
-            t_cand = t + (q - q_ref) / lam_bar
-            if t_cand > T:
-                # only reachable if rounding outgrew the 1e-12 margin: the log
-                # still stops where the candidate-by-candidate walk stops
-                walking = False
-                break
-            zl = u * lam_bar
-            if tilted:
-                lam = math.exp(tilt * grad_at(t_cand, counts[i])) * phi(value(t_cand))
-            else:
-                lam = phi(value(t_cand))
-            # the negated form also catches NaN; an assert would vanish under python -O
-            if not lam <= slack:
-                raise SimulationError(_bound_violation("intensity", lam, lam_bar, t_cand))
-            t = t_cand
-            q_ref = q
-            if zl < lam:
-                jump_t_add(t_cand)
-                jump_i_add(i)
-                if tilted:
-                    counts[i] += 1
-                total += 1
-                add(t_cand)
-                lam_bar = bound(total)
-                slack = lam_bar * (1.0 + 1e-9)
-
-    return _particle_major(jump_t, jump_i, N), None
+    return tilt_of
 
 
 def _draw_round(streams: StreamArray, pending: np.ndarray, rows: np.ndarray, q_lim: float, span: float):
     """Clock, particle and mark of every candidate of the streams ``rows`` with clock <= q_lim.
 
     Each stream's candidates are its pending clock and the running sums of
-    its gaps, each with the mark drawn before the gap, as the scalar walk
-    draws them; ``pending`` and ``streams.used`` move past what is kept.
+    its gaps, each with the mark drawn before the gap, as a
+    candidate-by-candidate walk draws them; ``pending`` and ``streams.used``
+    move past what is kept.
     """
     m = int(span) + 2  # (mark, gap) pairs a stream draws a pass, about its mean count
     qs, owners, marks = [], [], []
@@ -588,16 +447,39 @@ def _draw_round(streams: StreamArray, pending: np.ndarray, rows: np.ndarray, q_l
     return np.concatenate(qs), np.concatenate(owners), np.concatenate(marks)
 
 
-def _coupled_walk(N, kernel, rate, T, mean, phi0, rise, floor, bound, streams):
-    """The coupled mode of ``_run_thinning``: the same walk, decided in speculative blocks."""
+def _draw_calls(streams: list, pending: np.ndarray, rows: np.ndarray, q_lim: float, span: float):
+    """``_draw_round`` over a list of ``MarkStream``s, one ``uniform``/``exponential`` call a draw."""
+    qs, owners, marks, after = [], [], [], []
+    for i, q in zip(rows.tolist(), pending[rows].tolist()):
+        stream = streams[i]
+        while q <= q_lim:
+            qs.append(q)
+            owners.append(i)
+            marks.append(stream.uniform())
+            q += stream.exponential()
+        after.append(q)
+    pending[rows] = after
+    return np.array(qs), np.array(owners), np.array(marks)
+
+
+def _walk(N, kernel, rate, T, mean, phi0, bound, bounds, tilt_of, streams, draw, pending):
+    """The walk of ``_run_thinning`` in every mode, decided in speculative blocks.
+
+    ``bound(total)`` is the dominating rate after ``total`` jumps and
+    ``bounds`` the same over an array of totals; ``tilt_of(ts, x)`` is the
+    tilted mode's intensity factor at times ``ts`` and particle counts ``x``
+    (None otherwise); ``draw`` has ``_draw_round``'s signature over
+    ``streams``, whose first clocks are ``pending``.  The Poisson log is
+    accepted after the walk when ``mean`` is given.
+    """
     memory = _make_block(kernel, N)
     # one jump moves the intensity by at most alpha ||h||_sup / N, so a
     # guess made across about N candidates settles in a few passes
     block = min(4096, max(64, N))
-    pending = exponential_of(streams.words(np.arange(N), 1))[:, 0]
-    streams.used += 1
     # (time, lbar, particle, mark, accepted) of each committed slice
     walked = [(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool))]
+    if tilt_of is not None:
+        counts = np.zeros(N, dtype=np.int64)  # committed jumps of each particle
     total = 0
     t = 0.0
     q_ref = 0.0
@@ -610,15 +492,17 @@ def _coupled_walk(N, kernel, rate, T, mean, phi0, rise, floor, bound, streams):
         if head is None:
             break
         q_lim, ready = head
-        walk_q, walk_i, walk_u = _draw_round(streams, pending, ready, q_lim, q_lim - q_ref)
-        # the scalar walk's (clock, particle) order: distinct clocks fix it
-        # alone, and equal ones take the stable lexsort
+        walk_q, walk_i, walk_u = draw(streams, pending, ready, q_lim, q_lim - q_ref)
+        # the candidate-by-candidate walk's (clock, particle) order: distinct
+        # clocks fix it alone, and equal ones take the stable lexsort
         order = walk_q.argsort()
         if (walk_q[order[1:]] == walk_q[order[:-1]]).any():
             order = np.lexsort((walk_i, walk_q))
         walk_q, walk_i, walk_u = walk_q[order], walk_i[order], walk_u[order]
         # clock steps between the round's candidates, the first from q_ref
-        gaps = np.diff(walk_q, prepend=q_ref)
+        gaps = walk_q.copy()
+        gaps[1:] -= walk_q[:-1]
+        gaps[0] -= q_ref
         guess = np.empty(walk_q.size, dtype=bool)
         pos = frontier = 0
         while pos < walk_q.size:
@@ -627,14 +511,25 @@ def _coupled_walk(N, kernel, rate, T, mean, phi0, rise, floor, bound, streams):
                 guess[frontier:end] = walk_u[frontier:end] < accept_rate
             g = guess[pos:end]
             before = total + g.cumsum() - g
-            # fmax is bound()'s "if floor > lb" for every lb it can see (a NaN floor is skipped)
-            bars = np.fmax(phi0 + rise * (before / N), floor)
-            # cumsum adds in order, so each time has the scalar walk's bits
+            bars = bounds(before)
+            # cumsum adds in order, so each time has a candidate-by-candidate walk's bits
             steps = gaps[pos:end] / bars
             steps[0] += t
             ts = steps.cumsum()
             lam = rate.eval(memory.values(ts, g, before))
             n = lam.size
+            if tilt_of is not None:
+                # each candidate's particle count: its committed jumps plus
+                # the guessed ones earlier in the block, by a cumsum over the
+                # block sorted stably by particle, restarted at each particle
+                owner = walk_i[pos : pos + n]
+                by = np.argsort(owner, kind="stable")
+                held = g[:n][by]
+                run = held.cumsum() - held
+                sorted_owner = owner[by]
+                x = np.empty(n, dtype=np.int64)
+                x[by] = counts[sorted_owner] + run - run[sorted_owner.searchsorted(sorted_owner)]
+                lam *= tilt_of(ts[:n], x)
             accept = walk_u[pos : pos + n] * bars[:n] < lam
             if pos + n >= frontier:
                 frontier = pos + n
@@ -644,7 +539,7 @@ def _coupled_walk(N, kernel, rate, T, mean, phi0, rise, floor, bound, streams):
             # every decision up to the first wrong guess is exact, that one included
             exact = e + 1 if wrong[e] else n
             ts, bars, lam = ts[:exact], bars[:exact], lam[:exact]
-            # where the scalar walk would stop first: a time past T or a bound
+            # where a candidate-by-candidate walk would stop first: a time past T or a bound
             # at the ceiling (both never fall), or an intensity above its bound
             below = lam <= bars * (1.0 + 1e-9)
             v = int(below.argmin())
@@ -660,10 +555,12 @@ def _coupled_walk(N, kernel, rate, T, mean, phi0, rise, floor, bound, streams):
                     (ts[:keep].copy(), bars[:keep].copy(), walk_i[pos : pos + keep], walk_u[pos : pos + keep], kept.copy())
                 )
                 memory.commit(keep, kept)
+                if tilt_of is not None:
+                    counts += np.bincount(walk_i[pos : pos + keep][kept], minlength=N)
                 total += int(np.count_nonzero(kept))
                 t = float(ts[keep - 1])
                 q_ref = float(walk_q[pos + keep - 1])
-                lam_bar = bound(total)  # raises where the scalar walk's bound overflows
+                lam_bar = bound(total)  # raises where the bound overflows
             if keep < exact:
                 if ts[keep] > T:
                     walking = False
@@ -676,6 +573,8 @@ def _coupled_walk(N, kernel, rate, T, mean, phi0, rise, floor, bound, streams):
 
     cand_t, bars, cand_i, marks, accepted = map(np.concatenate, zip(*walked))
     jumps = _particle_major(cand_t[accepted], cand_i[accepted], N)
+    if mean is None:
+        return jumps, None
     # the limit intensity feeds nothing back into the walk: accept the Poisson
     # log in one pass over the walked candidates
     lam_mf = _limit_intensity(mean, cand_t)

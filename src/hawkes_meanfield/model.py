@@ -14,6 +14,7 @@ these is decided exactly from the parameters, at the knots and the ends.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -303,6 +304,25 @@ def validate_assumptions(kernel: Kernel, rate: RateFn, T: float) -> AssumptionRe
     )
 
 
+def _field(d: dict, name: str, what: str, table: bool = False):
+    """``d[name]`` as a float, or as a list of floats when ``table``; ValidationError naming the field otherwise."""
+    try:
+        value = d[name]
+    except KeyError:
+        raise ValidationError(f"{what} config needs the field {name!r}") from None
+    items = value if table else [value]
+    try:
+        if table and not isinstance(value, (list, tuple, np.ndarray)):
+            raise TypeError
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in items):
+            raise TypeError
+        floats = [float(x) for x in items]  # OverflowError for an int beyond the float range
+    except (TypeError, OverflowError):
+        kind = "a list of numbers" if table else "a number"
+        raise ValidationError(f"{what} field {name!r} must be {kind}, got {value!r}") from None
+    return floats if table else floats[0]
+
+
 def kernel_to_dict(kernel: Kernel) -> dict:
     if kernel.kind == "exponential":
         return {"type": "exponential", "a": kernel.a, "b": kernel.b}
@@ -318,14 +338,15 @@ def kernel_from_dict(d: dict) -> Kernel:
         kind = d["type"]
     except (TypeError, KeyError):
         raise ValidationError("kernel config must be an object with a 'type' field") from None
+    what = f"{kind} kernel"
     if kind == "exponential":
-        return Kernel.exponential(d["a"], d["b"])
+        return Kernel.exponential(_field(d, "a", what), _field(d, "b", what))
     if kind == "constant":
-        return Kernel.constant(d["c"])
+        return Kernel.constant(_field(d, "c", what))
     if kind == "zero":
         return Kernel.zero()
     if kind == "tabulated":
-        return Kernel.tabulated(d["grid"], d["values"])
+        return Kernel.tabulated(_field(d, "grid", what, table=True), _field(d, "values", what, table=True))
     raise ValidationError(f"unknown kernel type {kind!r}")
 
 
@@ -340,8 +361,9 @@ def rate_from_dict(d: dict) -> RateFn:
         kind = d["type"]
     except (TypeError, KeyError):
         raise ValidationError("rate config must be an object with a 'type' field") from None
+    what = f"{kind} rate"
     if kind == "affine":
-        return RateFn.affine(d["base"], d["slope"])
+        return RateFn.affine(_field(d, "base", what), _field(d, "slope", what))
     if kind == "tabulated":
-        return RateFn.tabulated(d["grid"], d["values"])
+        return RateFn.tabulated(_field(d, "grid", what, table=True), _field(d, "values", what, table=True))
     raise ValidationError(f"unknown rate type {kind!r}")

@@ -16,7 +16,7 @@ from scipy import stats
 from hawkes_meanfield import engine
 from hawkes_meanfield.fluct import limit_mean_variance
 from hawkes_meanfield.meanfield import MeanPath, TimeGrid, solve_mean
-from hawkes_meanfield.model import Kernel, RateFn
+from hawkes_meanfield.model import Kernel, RateFn, _scalar_rate
 from hawkes_meanfield.engine import (
     EventLog,
     SimulationError,
@@ -651,7 +651,7 @@ def _heap_walk(stream_cls, mode, N, kernel, rate, T, seed, mean=None, grad_psi=N
     Returns the per-particle jump times of the interacting log and, in coupled
     mode, of the Poisson log.
     """
-    phi = engine._scalar_rate(rate)
+    phi = _scalar_rate(rate)
     phi0 = float(rate.eval(0.0))
     rise = rate.lipschitz * engine.kernel_norms(kernel, T)[0]
     cache = _ref_cache(kernel, N)
@@ -810,14 +810,30 @@ def test_round_walk_matches_heap_walk(case):
     )
 
 
-@pytest.mark.parametrize("N, seed", [(1000, 71), (4000, 72)])
+@pytest.mark.parametrize(
+    "N, seed, mode",
+    [
+        # the coupled cases carry no mode in their ids, which stay stable
+        pytest.param(N, seed, mode, id=f"{N}-{seed}" + ("" if mode == "coupled" else f"-{mode}"))
+        for mode in ("coupled", "hawkes", "perturbed")
+        for N, seed in ((1000, 71), (4000, 72))
+    ],
+)
 @pytest.mark.parametrize("kernel, rate", [("exp", "affine"), ("exp", "tabulated"), ("tabulated", "affine"),
                                           ("tabulated", "tabulated")])
-def test_coupled_walk_matches_heap_walk_across_blocks(N, seed, kernel, rate):
+def test_coupled_walk_matches_heap_walk_across_blocks(N, seed, mode, kernel, rate):
     # about 1.5 N candidates a run, walked in blocks of N: the guesses of
-    # later blocks rest on commits of earlier ones
-    mean = _WALK_MEANS[kernel, rate]
-    _assert_walk_matches_heap_walk("coupled", N, _WALK_KERNELS[kernel], _WALK_RATES[rate], 1.0, seed, mean=mean)
+    # later blocks rest on commits of earlier ones, and in perturbed mode
+    # each particle's count is carried across commits
+    extra = {}
+    if mode == "coupled":
+        extra = dict(mean=_WALK_MEANS[kernel, rate])
+    elif mode == "perturbed":
+        # a count past the gradient's last state reads 0, so a few states suffice
+        grid = TimeGrid.from_T_dt(1.0, 0.05)
+        grad = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(grid.n + 1, 3))
+        extra = dict(grad_psi=grad, psi_grid=grid, tilt=0.6)
+    _assert_walk_matches_heap_walk(mode, N, _WALK_KERNELS[kernel], _WALK_RATES[rate], 1.0, seed, **extra)
 
 
 @pytest.mark.parametrize("N, seed", [(200, 3), (2000, 2)])
@@ -882,15 +898,17 @@ def test_tabulated_memory_matches_the_interpolated_sum(seed, knots, dyadic, N):
         grid = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 1.5, knots))])
         steps = rng.exponential(0.02, size=300)
     kernel = Kernel.tabulated(grid, rng.uniform(-0.5, 2.0, knots + 1))
-    memory, reference = engine._make_cache(kernel, N), _RefTabCache(kernel, N)
+    memory, reference = engine._make_block(kernel, N), _RefTabCache(kernel, N)
     t = 0.0
     for step, jump in zip(steps.tolist(), (rng.random(300) < 0.6).tolist()):
         t += step
         want = reference.value(t)
         scale = (len(reference.times) + 1) * float(np.max(np.abs(kernel.values))) / N
-        assert abs(memory.value(t) - want) <= 1e-12 * scale
+        # a one-candidate block, guessed rejected, then committed with its decision
+        (got,) = memory.values(np.array([t]), np.zeros(1, dtype=bool), np.array([len(reference.times)]))
+        assert abs(got - want) <= 1e-12 * scale
+        memory.commit(1, np.array([jump]))
         if jump:
-            memory.add(t)
             reference.add(t)
 
 

@@ -230,6 +230,30 @@ def test_descriptor_round_trip():
         assert np.allclose(r2.eval(np.linspace(0, 3, 7)), r.eval(np.linspace(0, 3, 7)))
 
 
+@pytest.mark.parametrize(
+    "parse, spec, name",
+    [
+        (kernel_from_dict, {"type": "exponential", "a": 1.0}, "'b'"),
+        (kernel_from_dict, {"type": "exponential", "a": "1", "b": 2.0}, "'a'"),
+        (kernel_from_dict, {"type": "exponential", "a": 1.0, "b": None}, "'b'"),
+        (kernel_from_dict, {"type": "exponential", "a": True, "b": 2.0}, "'a'"),
+        (kernel_from_dict, {"type": "exponential", "a": 10**400, "b": 2.0}, "'a'"),
+        (kernel_from_dict, {"type": "constant"}, "'c'"),
+        (kernel_from_dict, {"type": "constant", "c": [0.5]}, "'c'"),
+        (kernel_from_dict, {"type": "tabulated", "grid": [0.0, 1.0]}, "'values'"),
+        (kernel_from_dict, {"type": "tabulated", "grid": [0.0, "1"], "values": [1.0, 0.0]}, "'grid'"),
+        (kernel_from_dict, {"type": "tabulated", "grid": 1.0, "values": [1.0, 0.0]}, "'grid'"),
+        (rate_from_dict, {"type": "affine", "base": 1.0}, "'slope'"),
+        (rate_from_dict, {"type": "affine", "base": {}, "slope": 1.0}, "'base'"),
+        (rate_from_dict, {"type": "tabulated", "values": [1.0, 2.0]}, "'grid'"),
+        (rate_from_dict, {"type": "tabulated", "grid": [0.0, 1.0], "values": [1.0, None]}, "'values'"),
+    ],
+)
+def test_descriptor_field_errors_name_the_field(parse, spec, name):
+    with pytest.raises(ValidationError, match=name):
+        parse(spec)
+
+
 def test_unknown_descriptor_rejected():
     with pytest.raises(ValidationError):
         kernel_from_dict({"type": "powerlaw", "a": 1.0})
