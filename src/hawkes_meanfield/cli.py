@@ -467,12 +467,10 @@ def _run_exp_moment(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[di
         ok = est <= bound * (1.0 + slack)
         all_ok = all_ok and ok
         rows.append((tn, est, se, bound, ok))
-    art = {"exp_moment.csv": _csv("theta_times_N,estimate,std_error,bound,pass", *zip(*rows))}
+    names = ("theta_times_N", "estimate", "std_error", "bound", "pass")
+    art = {"exp_moment.csv": _csv(",".join(names), *zip(*rows))}
     summary = {
-        "rows": [
-            {"theta_times_N": r[0], "estimate": r[1], "std_error": r[2], "bound": r[3], "pass": r[4]}
-            for r in rows
-        ],
+        "rows": [dict(zip(names, r)) for r in rows],
         "warnings": warnings,
         "pass": all_ok,
     }
@@ -599,22 +597,11 @@ def _run_mdp_duality(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[d
         ok = worst <= resid_tol and rel <= rate_tol
         all_ok = all_ok and ok
         rows.append((name, worst, half_norm, i_est, rel, ok))
-    art = {
-        "duality.csv": _csv("psi,max_residual,half_inner,rate_estimate,rate_rel_err,pass", *zip(*rows))
-    }
+    names = ("psi", "max_residual", "half_inner", "rate_estimate", "rate_rel_err", "pass")
+    art = {"duality.csv": _csv(",".join(names), *zip(*rows))}
     summary = {
         "K": K,
-        "rows": [
-            {
-                "psi": r[0],
-                "max_residual": r[1],
-                "half_inner": r[2],
-                "rate_estimate": r[3],
-                "rate_rel_err": r[4],
-                "pass": r[5],
-            }
-            for r in rows
-        ],
+        "rows": [dict(zip(names, r)) for r in rows],
         "residual_tol": resid_tol,
         "rate_tol": rate_tol,
         "pass": all_ok,

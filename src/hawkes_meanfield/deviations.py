@@ -332,7 +332,7 @@ def solve_linearized(
     if not np.all(np.isfinite(gv)):
         raise ValueError("source values must be finite")
     law = limit_law_path(mean, K)[:n]
-    return _ladder_path(mean, kernel, rate, law, g=gv[None, :n])[0]
+    return _ladder_path(mean, kernel, rate, law, g=gv[:n])
 
 
 def linearized_from_test_function(

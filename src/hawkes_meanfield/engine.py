@@ -366,7 +366,13 @@ def _run_thinning(
     scale = 1.0
     tilt_of = None
     if tilted:
-        scale = math.exp(max(0.0, tilt * float(np.max(grad_psi))))
+        if not math.isfinite(tilt):
+            raise ValueError(f"need a finite tilt, got {tilt}")
+        # exp(tilt * grad_psi) <= exp(max(0, max tilt * grad_psi)) for either sign of the tilt
+        try:
+            scale = math.exp(max(0.0, float(np.max(tilt * grad_psi))))
+        except OverflowError:
+            raise SimulationError(f"tilt {tilt} overflows the dominating rate; model is pathological") from None
         tilt_of = _tilt_reader(grad_psi, psi_grid, tilt)
 
     def bound(total: int) -> float:

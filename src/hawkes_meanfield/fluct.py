@@ -21,7 +21,8 @@ limits are simulated here on a truncated state lattice {0..K}:
   accumulated as a mass defect.  The same Gaussian xi(x) feeds states x and
   x+1, which is exactly the noise correlation the weak form prescribes.
 
-The birth-ladder stepper ``_ladder_path`` is shared with the linearized
+The birth-ladder stepper ``_ladder_path`` steps one path at a time, a
+sequence of seeds one seed after another.  It is shared with the linearized
 dynamics of ``deviations``, which replace the noise by a deterministic source.
 It and the scalar SDE read int h d<X, ell> from a ``meanfield.Excitation``
 memory, one push per step: O(1) for exponential kernels.  The variance of the
@@ -200,82 +201,72 @@ def _ladder_path(
     law: np.ndarray,
     g: np.ndarray | None = None,
     noise: np.ndarray | None = None,
-) -> list[FieldPath]:
-    """Forward-Euler paths of the birth-ladder equation on grid x {0..K}, one per replica.
+) -> FieldPath:
+    """Forward-Euler path of the birth-ladder equation on grid x {0..K}.
 
         X_{k+1}(x) = X_k(x) + dt [ lam_k (X_k(x-1) - X_k(x))
                      + phi'(c_k) H_k (Law_k(x-1) - Law_k(x))
                      + lam_k (g_k(x-1) Law_k(x-1) - g_k(x) Law_k(x)) ]
                      + sqrt(lam_k dt) (noise_k(x-1) - noise_k(x)),
 
-    with X_0 = 0 and H_k the excitation response of <X, ell>.  ``law`` holds
-    one row per step (n x (K+1)); ``g`` and ``noise`` hold such a block per
-    replica (R x n x (K+1), or a view broadcast to it), and the replicas are
-    stepped together.  The flux of each forcing out of state K is dropped
-    into the mass defect.  The limit field drives the ladder with noise
-    sqrt(Law) xi and the linearized dynamics with the source g Law.  Either
-    forcing may be omitted, not both: an omitted forcing is neither allocated
-    nor added, which gives the bits of an explicit zero block, because X
-    starts at +0.0 and a rounded sum is -0.0 only when both of its terms are.
-    The path-free part of each forcing, its source g Law included, is formed
-    for ``_BLOCK`` steps at a time: every operation on it is elementwise,
-    so its bits do not depend on the blocking.  Raises ValueError when
-    lam_k dt > 1 for some step.
+    with X_0 = 0 and H_k the excitation response of <X, ell>.  ``law``, ``g``
+    and ``noise`` each hold one row per step (n x (K+1)).  The flux of each
+    forcing out of state K is dropped into the mass defect.  The limit field
+    drives the ladder with noise sqrt(Law) xi and the linearized dynamics
+    with the source g Law.  Either forcing may be omitted, not both: an
+    omitted forcing is neither allocated nor added, which gives the bits of
+    an explicit zero block, because X starts at +0.0 and a rounded sum is
+    -0.0 only when both of its terms are.  The path-free part of each
+    forcing, its source g Law included, is formed for ``_BLOCK`` steps at a
+    time: every operation on it is elementwise, so its bits do not depend on
+    the blocking.  Raises ValueError when lam_k dt > 1 for some step.
     """
     _require_monotone_steps(mean)
     grid = mean.grid
     n, dt = grid.n, grid.dt
     K = law.shape[1] - 1
-    R = (noise if g is None else g).shape[0]
     phid = np.atleast_1d(rate.deriv(mean.excitation))
     lam = mean.lam
     states = np.arange(K + 1, dtype=float)
 
-    values = np.zeros((R, n + 1, K + 1))
-    conv = np.zeros((n, R))  # H_k of every replica
-    memory = Excitation(kernel, grid, replicas=R)
-    x = np.zeros((R, K + 1))
-    shift_x = np.zeros((R, K + 1))
+    values = np.zeros((n + 1, K + 1))
+    conv = np.zeros(n)  # H_k
+    memory = Excitation(kernel, grid)
+    x = np.zeros(K + 1)
+    shift_x = np.zeros(K + 1)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        # everything that does not depend on the path, for this block of
-        # steps, time-major so that each step reads one contiguous (R, K+1) block
+        # everything that does not depend on the path, for this block of steps
         dlaw = _ladder(law[lo:hi])
         if g is not None:
-            dsource = _ladder(g[:, lo:hi] * law[lo:hi])
+            dsource = _ladder(g[lo:hi] * law[lo:hi])
             dsource *= lam[lo:hi, None]
-            dsource = np.ascontiguousarray(dsource.transpose(1, 0, 2))
         if noise is not None:
-            dnoise = np.ascontiguousarray(_ladder(noise[:, lo:hi]).transpose(1, 0, 2))
+            dnoise = _ladder(noise[lo:hi])
         for k in range(lo, hi):
-            # <X_k, ell> row by row: a batched product would sum in another order
-            conv[k] = memory.push(np.array([states @ row for row in x]))
-            shift_x[:, 1:] = x[:, :-1]
-            drift = lam[k] * (shift_x - x) + (phid[k] * conv[k])[:, None] * dlaw[k - lo]
+            conv[k] = memory.push(states @ x)
+            shift_x[1:] = x[:-1]
+            drift = lam[k] * (shift_x - x) + (phid[k] * conv[k]) * dlaw[k - lo]
             if g is not None:
                 drift += dsource[k - lo]
             x += dt * drift
             if noise is not None:
                 x += math.sqrt(lam[k] * dt) * dnoise[k - lo]
-            values[:, k + 1] = x
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=(0, 2)))
+            values[k + 1] = x
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise FloatingPointError(f"birth-ladder path diverged at step {bad[0] - 1}")
     # flux out of state K at every step, summed in step order from +0.0
-    lost = lam[:n] * values[:, :n, K] + phid[:n] * conv.T * law[:, K]
+    lost = lam[:n] * values[:n, K] + phid[:n] * conv * law[:, K]
     if g is not None:
-        lost += lam[:n] * (g[:, :, K] * law[:, K])
+        lost += lam[:n] * (g[:, K] * law[:, K])
     lost *= dt
     if noise is not None:
-        lost += np.sqrt(lam[:n] * dt) * noise[:, :, K]
-    defect = np.cumsum(np.concatenate([np.zeros((R, 1)), lost], axis=1), axis=1)
+        lost += np.sqrt(lam[:n] * dt) * noise[:, K]
+    defect = np.cumsum(np.concatenate([[0.0], lost]))
     values.flags.writeable = False
     defect.flags.writeable = False
-    return [FieldPath(grid=grid, K=K, values=v, mass_defect=d) for v, d in zip(values, defect)]
-
-
-# replicas stepped together by simulate_limit_field (bounds its working memory)
-_FIELD_BLOCK = 32
+    return FieldPath(grid=grid, K=K, values=values, mass_defect=defect)
 
 
 def simulate_limit_field(mean: MeanPath, kernel: Kernel, rate: RateFn, K: int, seed):
@@ -291,20 +282,15 @@ def simulate_limit_field(mean: MeanPath, kernel: Kernel, rate: RateFn, K: int, s
     law = limit_law_path(mean, K)[:n]
     root_law = np.sqrt(law)
     single = isinstance(seed, (int, np.integer))
-    seeds = [seed] if single else list(seed)
     paths = []
-    for lo in range(0, len(seeds), _FIELD_BLOCK):
-        noise = np.stack([MarkStream(s, 0).normals(n * (K + 1)) for s in seeds[lo : lo + _FIELD_BLOCK]])
-        noise = noise.reshape(-1, n, K + 1)
+    for s in [seed] if single else seed:
+        noise = MarkStream(s, 0).normals(n * (K + 1)).reshape(n, K + 1)
         noise *= root_law  # sqrt(Law) xi
-        block = _ladder_path(mean, kernel, rate, law, noise=noise)
-        for path in block:
-            defect = path.mass_defect[-1]
-            if abs(defect) > _DEFECT_THRESHOLD:
-                raise TruncationError(
-                    f"truncation defect {defect:.3e} exceeds {_DEFECT_THRESHOLD:.1e}; increase K"
-                )
-        paths += block
+        path = _ladder_path(mean, kernel, rate, law, noise=noise)
+        defect = path.mass_defect[-1]
+        if abs(defect) > _DEFECT_THRESHOLD:
+            raise TruncationError(f"truncation defect {defect:.3e} exceeds {_DEFECT_THRESHOLD:.1e}; increase K")
+        paths.append(path)
     return paths[0] if single else paths
 
 

@@ -126,15 +126,14 @@ class Excitation:
     left-rectangle rule, for a path with f_0 = 0.  ``lag()`` returns the
     memory's part of the next push, the sum over j < k, and records nothing,
     so ``push(f)`` is ``h0 * f + lag()``.  ``half`` is dt h'(0) / 2: adding
-    ``half * f_k`` to a push gives the trapezoid rule.  ``f_k`` is a float, or
-    one value per replica when ``replicas`` is given.  An exponential kernel
-    keeps the decayed sum S_k = sum_{j<k} e^{-b(t_k - t_j)} f_j, so a push
-    costs O(1) (Oakes 1975); zero and constant kernels have h' = 0 and keep
-    nothing; a tabulated kernel keeps the history and takes one dot product
-    per replica, O(k) per push.
+    ``half * f_k`` to a push gives the trapezoid rule.  The memory holds one
+    path, and ``f_k`` is a float.  An exponential kernel keeps the decayed sum
+    S_k = sum_{j<k} e^{-b(t_k - t_j)} f_j, so a push costs O(1) (Oakes 1975);
+    zero and constant kernels have h' = 0 and keep nothing; a tabulated kernel
+    keeps the history and takes one dot product, O(k) per push.
     """
 
-    def __init__(self, kernel: Kernel, grid: TimeGrid, replicas: int | None = None):
+    def __init__(self, kernel: Kernel, grid: TimeGrid):
         self._kind = kernel.kind
         hp0 = float(kernel.deriv(0.0))
         self.h0 = float(kernel.eval(0.0))
@@ -142,12 +141,11 @@ class Excitation:
         if self._kind == "exponential":
             self._decay = math.exp(-kernel.b * grid.dt)
             self._lag = grid.dt * hp0
-            self._sum = 0.0 if replicas is None else np.zeros(replicas)
+            self._sum = 0.0
         elif self._kind == "tabulated":
             self._dt, self._k = grid.dt, 0
             self._hp = np.atleast_1d(kernel.deriv(grid.points))
-            self._scalar = replicas is None
-            self._hist = np.zeros((1 if replicas is None else replicas, grid.n + 1))
+            self._hist = np.zeros(grid.n + 1)
 
     def lag(self):
         """dt sum_{j<k} h'(t_k - t_j) f_j for the next grid index k."""
@@ -156,10 +154,7 @@ class Excitation:
         if self._kind != "tabulated":
             return 0.0
         k = self._k
-        # one np.dot per replica: a batched contraction would sum in another order
-        back = self._hp[k:0:-1]
-        mem = [float(np.dot(back, row[:k])) for row in self._hist]
-        return self._dt * (mem[0] if self._scalar else np.array(mem))
+        return self._dt * float(np.dot(self._hp[k:0:-1], self._hist[:k]))
 
     def push(self, f):
         """H_k for the next grid value f_k of the path."""
@@ -169,7 +164,7 @@ class Excitation:
         if self._kind == "exponential":
             self._sum = self._decay * (self._sum + f)
         else:
-            self._hist[:, self._k] = f
+            self._hist[self._k] = f
             self._k += 1
         return out
 
@@ -212,18 +207,20 @@ def solve_mean(kernel: Kernel, rate: RateFn, T: float, dt: float) -> MeanPath:
     memory = Excitation(kernel, grid)
     half = memory.half
     m = np.zeros(n + 1)
+    euler_exc = np.zeros(n + 1)
     mk = peak = 0.0
     for k in range(n):
-        c = memory.push(mk) + half * mk
+        c = euler_exc[k] = memory.push(mk) + half * mk
         lam = phi(c)
         peak = max(peak, abs(c))
         if not 0.0 < lam < math.inf or c < -tol * peak:
             fail(lam, c, k)
         mk += step * lam
         m[k + 1] = mk
+    euler_exc[n] = memory.push(mk) + half * mk
 
     # Picard sweep: reintegrate lambda(m_euler) with the trapezoid rule
-    lam0 = np.asarray(rate.eval(Excitation.path(kernel, grid, m) + half * m))
+    lam0 = np.asarray(rate.eval(euler_exc))
     cum = np.concatenate([[0.0], np.cumsum(0.5 * step * (lam0[1:] + lam0[:-1]))])
     exc = Excitation.path(kernel, grid, cum) + half * cum
     lam = np.asarray(rate.eval(exc))

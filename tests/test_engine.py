@@ -175,6 +175,21 @@ def test_perturbed_positive_tilt_increases_mean(exp_kernel, affine_rate):
     assert np.mean(up) > np.mean(base)
 
 
+def test_perturbed_negative_tilt_is_bounded_and_odd_tilts_are_refused(exp_kernel, affine_rate):
+    # grad psi = 1 in state 0 and -5 elsewhere: at tilt -1 the intensity
+    # factor reaches e^5, far above exp(max(0, tilt * max grad psi)) = 1
+    grid = TimeGrid.from_T_dt(1.0, 0.01)
+    grad = np.full((grid.n + 1, 8), -5.0)
+    grad[:, 0] = 1.0
+    log = simulate_perturbed(50, exp_kernel, affine_rate, grad, grid, -1.0, 1.0, seed=3)
+    assert log.total_jumps > 0
+    for tilt in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite tilt"):
+            simulate_perturbed(50, exp_kernel, affine_rate, grad, grid, tilt, 1.0, seed=3)
+    with pytest.raises(SimulationError, match="overflows"):
+        simulate_perturbed(50, exp_kernel, affine_rate, grad, grid, 1e6, 1.0, seed=3)
+
+
 def test_sup_path_difference_cancels_shared_jumps():
     a = EventLog(N=1, T=1.0, jumps=(np.array([0.2, 0.5]),), seed=0, kind="hawkes")
     b = EventLog(N=1, T=1.0, jumps=(np.array([0.2, 0.8]),), seed=0, kind="mf_poisson")
@@ -658,7 +673,7 @@ def _heap_walk(stream_cls, mode, N, kernel, rate, T, seed, mean=None, grad_psi=N
     coupled, tilted = mode == "coupled", mode == "perturbed"
     mf_bound = float(np.max(mean.lam)) if coupled else 0.0
     lam_mf = _lambda_interp_reference(mean) if coupled else None
-    tilt_bound = math.exp(max(0.0, tilt * float(np.max(grad_psi)))) if tilted else 1.0
+    tilt_bound = math.exp(max(0.0, float(np.max(tilt * grad_psi)))) if tilted else 1.0
 
     def grad_at(t, x):
         if x > grad_psi.shape[1] - 1:
@@ -834,6 +849,20 @@ def test_coupled_walk_matches_heap_walk_across_blocks(N, seed, mode, kernel, rat
         grad = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(grid.n + 1, 3))
         extra = dict(grad_psi=grad, psi_grid=grid, tilt=0.6)
     _assert_walk_matches_heap_walk(mode, N, _WALK_KERNELS[kernel], _WALK_RATES[rate], 1.0, seed, **extra)
+
+
+@pytest.mark.parametrize("tilt", [-0.6, -2.0])
+@pytest.mark.parametrize("kernel, rate", [("exp", "affine"), ("tabulated", "tabulated")])
+@pytest.mark.parametrize("N, seed", [(40, 74), (300, 75)])
+def test_walk_matches_heap_walk_at_a_negative_tilt(N, seed, kernel, rate, tilt):
+    # a gradient of both signs, larger below 0 than above: the bound must
+    # read its most negative value, and the heap walk asserts every
+    # intensity against its bound
+    grid = TimeGrid.from_T_dt(1.0, 0.05)
+    grad = np.random.default_rng(seed).uniform(-1.0, 0.5, size=(grid.n + 1, 4))
+    _assert_walk_matches_heap_walk(
+        "perturbed", N, _WALK_KERNELS[kernel], _WALK_RATES[rate], 1.0, seed, grad_psi=grad, psi_grid=grid, tilt=tilt
+    )
 
 
 @pytest.mark.parametrize("N, seed", [(200, 3), (2000, 2)])

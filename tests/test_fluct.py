@@ -222,8 +222,8 @@ def test_limit_field_conservation_and_zero_noise(exp_kernel, affine_rate):
     assert np.max(np.abs(f.values.sum(axis=1) + f.mass_defect)) <= 1e-10
     # without noise the drift is linear homogeneous: the path stays at 0
     law = limit_law_path(mean, 30)[: mean.grid.n]
-    zeros = np.zeros((1,) + law.shape)
-    z = _ladder_path(mean, exp_kernel, affine_rate, law, zeros, zeros)[0]
+    zeros = np.zeros(law.shape)
+    z = _ladder_path(mean, exp_kernel, affine_rate, law, zeros, zeros)
     assert np.all(z.values == 0.0)
 
 
@@ -244,24 +244,23 @@ def test_ladder_path_without_forcing_is_exactly_zero(kind, given, exp_kernel, af
     mean = _coarse_mean(kernel, affine_rate, n=200)
     law = limit_law_path(mean, 30)[: mean.grid.n]
     if given is None:
-        zeros = np.zeros((1,) + law.shape)
-        path = _ladder_path(mean, kernel, affine_rate, law, zeros, zeros)[0]
+        zeros = np.zeros(law.shape)
+        path = _ladder_path(mean, kernel, affine_rate, law, zeros, zeros)
         assert np.all(path.values == 0.0) and np.all(path.mass_defect == 0.0)
         # +0.0 throughout: a zero forcing adds nothing, not even a sign
         assert not np.signbit(path.values).any() and not np.signbit(path.mass_defect).any()
         return
-    # an omitted forcing gives the bits of an explicit zero block, over two replicas
+    # an omitted forcing gives the bits of an explicit zero block, for two blocks
     rng = np.random.default_rng(17)
-    block = rng.normal(size=(2,) + law.shape) * (1.0 if given == "g" else np.sqrt(law))
-    zeros = np.zeros_like(block)
-    pair = (block, zeros) if given == "g" else (zeros, block)
-    explicit = _ladder_path(mean, kernel, affine_rate, law, *pair)
-    omitted = _ladder_path(mean, kernel, affine_rate, law, **{given: block})
-    assert len(omitted) == 2
-    for a, b in zip(explicit, omitted):
-        assert a.values.tobytes() == b.values.tobytes()
-        assert a.mass_defect.tobytes() == b.mass_defect.tobytes()
-        assert np.any(b.values != 0.0)
+    for _ in range(2):
+        block = rng.normal(size=law.shape) * (1.0 if given == "g" else np.sqrt(law))
+        zeros = np.zeros_like(block)
+        pair = (block, zeros) if given == "g" else (zeros, block)
+        explicit = _ladder_path(mean, kernel, affine_rate, law, *pair)
+        omitted = _ladder_path(mean, kernel, affine_rate, law, **{given: block})
+        assert explicit.values.tobytes() == omitted.values.tobytes()
+        assert explicit.mass_defect.tobytes() == omitted.mass_defect.tobytes()
+        assert np.any(omitted.values != 0.0)
 
 
 @pytest.mark.parametrize("given", ["g", "noise"])
@@ -269,13 +268,12 @@ def test_ladder_path_bits_do_not_depend_on_the_step_block(given, monkeypatch, af
     mean = _coarse_mean(TAB, affine_rate, n=200)
     law = limit_law_path(mean, 20)[:200]
     rng = np.random.default_rng(23)
-    block = rng.normal(size=(3,) + law.shape) * (1.0 if given == "g" else np.sqrt(law))
+    block = rng.normal(size=law.shape) * (1.0 if given == "g" else np.sqrt(law))
     whole = _ladder_path(mean, TAB, affine_rate, law, **{given: block})
     monkeypatch.setattr(fluct, "_BLOCK", 7)
     blocked = _ladder_path(mean, TAB, affine_rate, law, **{given: block})
-    for a, b in zip(whole, blocked):
-        assert a.values.tobytes() == b.values.tobytes()
-        assert a.mass_defect.tobytes() == b.mass_defect.tobytes()
+    assert whole.values.tobytes() == blocked.values.tobytes()
+    assert whole.mass_defect.tobytes() == blocked.mass_defect.tobytes()
 
 
 def test_field_csv_is_one_byte_table(exp_kernel, affine_rate, monkeypatch):
@@ -397,11 +395,11 @@ def test_ladder_path_divergence_names_the_first_step_over_replicas(exp_kernel, a
     mean = _coarse_mean(exp_kernel, affine_rate, n=40)
     K = 10
     law = limit_law_path(mean, K)[:40]
-    source = np.zeros((3, 40, K + 1))
-    # finite sources whose ladder differences overflow: replica 2 at step 9, replica 1 at step 5
+    source = np.zeros((40, K + 1))
+    # finite sources whose ladder differences overflow at steps 9 and 5
     huge = np.finfo(float).max * (-1.0) ** np.arange(K + 1)
-    source[2, 9] = huge
-    source[1, 5] = huge
+    source[9] = huge
+    source[5] = huge
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="at step 5$"):
             _ladder_path(mean, exp_kernel, affine_rate, law, source, np.zeros_like(source))
@@ -412,10 +410,13 @@ def _jacobian_variance(mean, kernel, rate, K, w):
     # stepped forward by the ladder itself: sum over (k, x) of d<X_T, w>/dxi_k(x)^2
     n = mean.grid.n
     law = limit_law_path(mean, K)[:n]
-    noise = np.zeros((n * (K + 1), n, K + 1))
-    k, x = np.divmod(np.arange(n * (K + 1)), K + 1)
-    noise[np.arange(n * (K + 1)), k, x] = np.sqrt(law[k, x])
-    return sum(float(p.values[-1] @ w) ** 2 for p in _ladder_path(mean, kernel, rate, law, noise=noise))
+    total = 0.0
+    for k in range(n):
+        for x in range(K + 1):
+            noise = np.zeros((n, K + 1))
+            noise[k, x] = np.sqrt(law[k, x])
+            total += float(_ladder_path(mean, kernel, rate, law, noise=noise).values[-1] @ w) ** 2
+    return total
 
 
 @pytest.mark.parametrize("rate_kind", ["affine", "concave"])

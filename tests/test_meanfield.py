@@ -123,44 +123,41 @@ EXCITATION_KERNELS = {
     kind=st.sampled_from(sorted(EXCITATION_KERNELS)),
     n=st.integers(1, 60),
     T=st.sampled_from([0.5, 2.0]),
-    replicas=st.sampled_from([1, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_excitation_pushes_match_the_direct_sum(kind, n, T, replicas, seed):
+def test_excitation_pushes_match_the_direct_sum(kind, n, T, seed):
     kernel = EXCITATION_KERNELS[kind]
     grid = TimeGrid.from_T_dt(T, T / n)
-    f = np.random.default_rng(seed).normal(size=(replicas, n + 1))
-    f[:, 0] = 0.0
+    f = np.random.default_rng(seed).normal(size=n + 1)
+    f[0] = 0.0
     ts = grid.points
     h0 = kernel.eval(0.0)
-    batched = Excitation(kernel, grid, replicas=replicas)
-    got = np.array([batched.push(f[:, k]) for k in range(n + 1)]).T
-    for r in range(replicas):
-        single = Excitation(kernel, grid)
-        assert np.array_equal([single.push(v) for v in f[r]], got[r])  # bit for bit
-        for k in range(n + 1):
-            # h'(t_k - t_j) at the grid lag t_{k-j}: a rounded difference could cross a knot
-            terms = grid.dt * np.array([kernel.deriv(ts[k - j]) * f[r, j] for j in range(k)])
-            want = h0 * f[r, k] + float(np.sum(terms))
-            assert abs(got[r, k] - want) <= 1e-12 * (abs(h0 * f[r, k]) + float(np.sum(np.abs(terms))))
+    memory = Excitation(kernel, grid)
+    got = np.array([memory.push(v) for v in f])
+    assert np.array_equal(Excitation.path(kernel, grid, f), got)  # bit for bit
+    for k in range(n + 1):
+        # h'(t_k - t_j) at the grid lag t_{k-j}: a rounded difference could cross a knot
+        terms = grid.dt * np.array([kernel.deriv(ts[k - j]) * f[j] for j in range(k)])
+        want = h0 * f[k] + float(np.sum(terms))
+        assert abs(got[k] - want) <= 1e-12 * (abs(h0 * f[k]) + float(np.sum(np.abs(terms))))
 
 
-@pytest.mark.parametrize("replicas", [None, 3])
-@pytest.mark.parametrize("kind", sorted(EXCITATION_KERNELS))
-def test_excitation_lag_is_the_memory_part_of_the_next_push(kind, replicas):
+# the ids end in "-None", the names these cases had while the memory also
+# took a count of paths to push together
+@pytest.mark.parametrize("kind", sorted(EXCITATION_KERNELS), ids=lambda kind: f"{kind}-None")
+def test_excitation_lag_is_the_memory_part_of_the_next_push(kind):
     kernel = EXCITATION_KERNELS[kind]
     grid = TimeGrid.from_T_dt(1.0, 1.0 / 40)
-    memory = Excitation(kernel, grid, replicas=replicas)
-    f = np.random.default_rng(11).normal(size=(grid.n + 1, replicas or 1))
+    memory = Excitation(kernel, grid)
+    f = np.random.default_rng(11).normal(size=grid.n + 1)
     f[0] = 0.0
-    for row in f:
-        v = float(row[0]) if replicas is None else row
+    for v in f.tolist():
         lag = memory.lag()
-        assert np.array_equal(memory.lag(), lag)  # reading it records nothing
+        assert memory.lag() == lag  # reading it records nothing
         want = memory.h0 * v if kind in ("zero", "constant") else memory.h0 * v + lag
         assert np.asarray(memory.push(v)).tobytes() == np.asarray(want).tobytes()
         if kind in ("zero", "constant"):
-            assert np.all(lag == 0.0)
+            assert lag == 0.0
 
 
 def test_limit_law_values(homog_mean):
