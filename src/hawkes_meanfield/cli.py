@@ -37,14 +37,15 @@ from .model import (
     validate_assumptions,
 )
 from .meanfield import MeanPath, SolverDivergenceError, TimeGrid, limit_law, solve_mean, suggested_state_count
+from .cluster import cluster_batch, cluster_counts
 from .engine import (
     SimulationError,
     _write_event_log_csv,
+    coupled_sup_difference,
     event_log_to_bytes,
-    simulate_cluster,
     simulate_coupled,
     simulate_hawkes,
-    sup_path_difference,
+    sup_path_difference,  # unused here; perfbench's tracer wraps it at this name
 )
 from .fluct import (
     FieldPath,
@@ -217,31 +218,47 @@ def _pmap(fn, count: int, workers: int) -> list:
         return pool.map(fn, range(count))
 
 
-def _replica(kernel: Kernel, rate: RateFn, N: int, T: float, seed: int, rep: int):
-    """Replica ``rep``'s event log: drawn by its cluster form for an affine phi, else by thinning.
+def _replica_counts(args, chunk: int) -> np.ndarray:
+    """Each particle's jump count at T in each replica of ``chunk``, shape (replicas, N).
 
-    Both samplers are exact in law; they draw different paths from one seed.
+    An affine phi draws the chunk's replicas together by their cluster form,
+    any other phi draws each by thinning.  Both samplers are exact in law;
+    they draw different paths from one seed.
     """
-    sample = simulate_cluster if rate.kind == "affine" else simulate_hawkes
-    return sample(N, kernel, rate, T, derive_seed(seed, rep))
+    kernel, rate, N, T, seed, replicas, size = args[:7]
+    seeds = [derive_seed(seed, rep) for rep in range(chunk * size, min(replicas, (chunk + 1) * size))]
+    if rate.kind == "affine":
+        return cluster_counts(N, kernel, rate, T, seeds)
+    return np.array([simulate_hawkes(N, kernel, rate, T, s).sizes for s in seeds])
 
 
-def _w_zbar(args, rep: int) -> float:
-    kernel, rate, N, T, seed = args
-    return _replica(kernel, rate, N, T, seed, rep).total_jumps / N
+def _w_zbar(args, chunk: int) -> list[float]:
+    N = args[2]
+    return (_replica_counts(args, chunk).sum(axis=1) / N).tolist()
 
 
-def _w_field_proj(args, rep: int) -> float:
+def _w_field_proj(args, chunk: int) -> list[float]:
     # the centered field's entry at (T, x0), from the count of particles at x0
-    kernel, rate, N, T, seed, x0, law_x0 = args
-    log = _replica(kernel, rate, N, T, seed, rep)
-    return float(math.sqrt(N) * (np.count_nonzero(log.sizes == x0) / N - law_x0))
+    N, (x0, law_x0) = args[2], args[7:]
+    at_x0 = np.count_nonzero(_replica_counts(args, chunk) == x0, axis=1)
+    return (math.sqrt(N) * (at_x0 / N - law_x0)).tolist()
+
+
+def _per_replica(worker, cfg: ExperimentConfig, *extra) -> list[float]:
+    """``worker``'s value of each replica of ``cfg``, in replica order.
+
+    A worker task draws one chunk of replicas: a cluster batch at an affine
+    phi, else one replica.
+    """
+    size = cluster_batch(cfg.N, cfg.rate, cfg.T) if cfg.rate.kind == "affine" else 1
+    args = (cfg.kernel, cfg.rate, cfg.N, cfg.T, cfg.seed, cfg.replicas, size, *extra)
+    chunks = _pmap(functools.partial(worker, args), -(-cfg.replicas // size), cfg.workers)
+    return [value for chunk in chunks for value in chunk]
 
 
 def _w_couple(args, rep: int) -> tuple[float, float]:
     kernel, rate, N, T, seed, mean = args
-    c = simulate_coupled(N, kernel, rate, mean, T, derive_seed(seed, rep))
-    d = sup_path_difference(c.hawkes, c.poisson)
+    d = coupled_sup_difference(N, kernel, rate, mean, T, derive_seed(seed, rep))
     return float(d.mean()), float(d.max())
 
 
@@ -342,11 +359,7 @@ def _run_clt_check(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[dic
     mean = solve_mean(cfg.kernel, cfg.rate, cfg.T, cfg.dt)
     limit_var = limit_mean_variance(mean, cfg.kernel, cfg.rate)
     band = _ratio_band(cfg, limit_var, 0.10)
-    zbars = _pmap(
-        functools.partial(_w_zbar, (cfg.kernel, cfg.rate, cfg.N, cfg.T, cfg.seed)),
-        cfg.replicas,
-        cfg.workers,
-    )
+    zbars = _per_replica(_w_zbar, cfg)
     x = math.sqrt(cfg.N) * (np.asarray(zbars) - mean.m_final)
     art = {"clt_samples.csv": _csv("replica,scaled_deviation", range(x.size), x)}
     return _variance_ratio(x, limit_var, band, art)
@@ -360,11 +373,7 @@ def _run_field_clt_check(cfg: ExperimentConfig, report: AssumptionReport) -> tup
     limit_var = limit_field_variance(mean, cfg.kernel, cfg.rate, K, np.eye(K + 1)[x0])
     band = _ratio_band(cfg, limit_var, 0.20)
     law_x0 = limit_law(mean, mean.grid.T, K).pmf[x0]
-    emp = _pmap(
-        functools.partial(_w_field_proj, (cfg.kernel, cfg.rate, cfg.N, cfg.T, cfg.seed, x0, law_x0)),
-        cfg.replicas,
-        cfg.workers,
-    )
+    emp = _per_replica(_w_field_proj, cfg, x0, law_x0)
     art = {"field_clt_empirical.csv": _csv("replica,projection", range(len(emp)), emp)}
     return _variance_ratio(emp, limit_var, band, art, state=x0, K=K)
 
@@ -443,13 +452,7 @@ def _run_exp_moment(cfg: ExperimentConfig, report: AssumptionReport) -> tuple[di
             math.exp(2.0 * tn * phi0 * cfg.T / report.stability_margin)
         except OverflowError:
             raise ConfigError(f"theta*N={tn}: the bound exp(2 theta N phi(0) T / margin) overflows a double") from None
-    zbars = np.asarray(
-        _pmap(
-            functools.partial(_w_zbar, (cfg.kernel, cfg.rate, cfg.N, cfg.T, cfg.seed)),
-            cfg.replicas,
-            cfg.workers,
-        )
-    )
+    zbars = np.asarray(_per_replica(_w_zbar, cfg))
     rows = []
     all_ok = True
     warnings = []

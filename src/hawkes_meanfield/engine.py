@@ -55,12 +55,11 @@ Poisson log in one vectorized pass after the walk.  The bound checks
 therefore run in this order: the interacting intensity against the dominating
 rate at each candidate during the walk, then the limit intensity at every
 candidate after it, where the first violating candidate raises
-``SimulationError``.
+``SimulationError``.  ``coupled_sup_difference`` reads the two logs'
+per-particle sup-difference off the same candidates, without the logs.
 
-For an affine phi the interacting system has a second exact sampler,
-``simulate_cluster``: its superposition is a linear Hawkes process, drawn
-generation by generation from its immigrant-offspring form in numpy.  It is
-equal in law to thinning, not path by path, and has no coupled or tilted mode.
+For an affine phi the interacting system has a second exact sampler, its
+cluster form, in :mod:`hawkes_meanfield.cluster`.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ __all__ = [
     "simulate_hawkes",
     "simulate_coupled",
     "simulate_perturbed",
-    "simulate_cluster",
+    "coupled_sup_difference",
     "sup_path_difference",
     "event_log_to_bytes",
     "event_log_from_bytes",
@@ -105,9 +104,6 @@ _ROUND_SPAN = 1024.0
 # a speculative block of the coupled walk ends before the exponential
 # kernel's growth factor e^{b (t - t_0)} passes e^50, far from overflow
 _EXP_SPAN = 50.0
-# largest child-count mean of the cluster sampler: exp(-mean), where its
-# Poisson inversion starts, stays a normal float
-_POISSON_MEAN_CEILING = 700.0
 
 
 class SimulationError(RuntimeError):
@@ -331,6 +327,21 @@ def _next_round(pending: np.ndarray, t: float, q_ref: float, lam_bar: float, T: 
 
 
 def _run_thinning(
+    mode: str, N: int, kernel: Kernel, rate: RateFn, T: float, seed: int, mean: MeanPath | None = None, **options
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
+    """(times, sizes) of the interacting log, and of the Poisson log in coupled mode.
+
+    ``options`` are :func:`_candidates`' tilt and stream-remap arguments.
+    """
+    cand_t, bars, cand_i, marks, accepted = _candidates(mode, N, kernel, rate, T, seed, mean, **options)
+    jumps = _particle_major(cand_t[accepted], cand_i[accepted], N)
+    if mode != "coupled":
+        return jumps, None
+    hit = _poisson_accepts(mean, cand_t, bars, marks)
+    return jumps, _particle_major(cand_t[hit], cand_i[hit], N)
+
+
+def _candidates(
     mode: str,
     N: int,
     kernel: Kernel,
@@ -342,8 +353,8 @@ def _run_thinning(
     psi_grid: TimeGrid | None = None,
     tilt: float = 0.0,
     stream_indices: Sequence[int] | None = None,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
-    """(times, sizes) of the interacting log, and of the Poisson log in coupled mode."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The walk's candidates in walk order: (time, lbar, particle, mark, accepted)."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     if not T > 0:
@@ -393,7 +404,7 @@ def _run_thinning(
         return bars
 
     if stream_indices is None:
-        stream_indices = range(N)
+        stream_indices = np.arange(N)
     elif len(stream_indices) != N:
         raise ValueError(f"need {N} stream indices, got {len(stream_indices)}")
     if coupled:
@@ -407,7 +418,7 @@ def _run_thinning(
         streams = MarkStream.batch(seed, stream_indices)
         pending = np.array([s.exponential() for s in streams])
         draw = _draw_calls
-    return _walk(N, kernel, rate, T, mean if coupled else None, phi0, bound, bounds, tilt_of, streams, draw, pending)
+    return _walk(N, kernel, rate, T, phi0, bound, bounds, tilt_of, streams, draw, pending)
 
 
 def _tilt_reader(grad_psi: np.ndarray, grid: TimeGrid, tilt: float):
@@ -468,15 +479,15 @@ def _draw_calls(streams: list, pending: np.ndarray, rows: np.ndarray, q_lim: flo
     return np.array(qs), np.array(owners), np.array(marks)
 
 
-def _walk(N, kernel, rate, T, mean, phi0, bound, bounds, tilt_of, streams, draw, pending):
-    """The walk of ``_run_thinning`` in every mode, decided in speculative blocks.
+def _walk(N, kernel, rate, T, phi0, bound, bounds, tilt_of, streams, draw, pending):
+    """The walk of ``_candidates`` in every mode, decided in speculative blocks.
 
     ``bound(total)`` is the dominating rate after ``total`` jumps and
     ``bounds`` the same over an array of totals; ``tilt_of(ts, x)`` is the
     tilted mode's intensity factor at times ``ts`` and particle counts ``x``
     (None otherwise); ``draw`` has ``_draw_round``'s signature over
-    ``streams``, whose first clocks are ``pending``.  The Poisson log is
-    accepted after the walk when ``mean`` is given.
+    ``streams``, whose first clocks are ``pending``.  Returns every walked
+    candidate's (time, lbar, particle, mark, accepted), in walk order.
     """
     memory = _make_block(kernel, N)
     # one jump moves the intensity by at most alpha ||h||_sup / N, so a
@@ -577,12 +588,15 @@ def _walk(N, kernel, rate, T, mean, phi0, bound, bounds, tilt_of, streams, draw,
             guess[pos : pos + n] = accept
             pos += keep
 
-    cand_t, bars, cand_i, marks, accepted = map(np.concatenate, zip(*walked))
-    jumps = _particle_major(cand_t[accepted], cand_i[accepted], N)
-    if mean is None:
-        return jumps, None
-    # the limit intensity feeds nothing back into the walk: accept the Poisson
-    # log in one pass over the walked candidates
+    return tuple(map(np.concatenate, zip(*walked)))
+
+
+def _poisson_accepts(mean: MeanPath, cand_t: np.ndarray, bars: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """Which walked candidates the Poisson comparison system accepts.
+
+    The limit intensity feeds nothing back into the walk, so the Poisson log
+    is accepted in one pass over the walked candidates, after the walk.
+    """
     lam_mf = _limit_intensity(mean, cand_t)
     bad = np.flatnonzero(~(lam_mf <= bars * (1.0 + 1e-9)))
     if bad.size:
@@ -590,8 +604,7 @@ def _walk(N, kernel, rate, T, mean, phi0, bound, bounds, tilt_of, streams, draw,
         raise SimulationError(
             _bound_violation("limit intensity", float(lam_mf[j]), float(bars[j]), float(cand_t[j]))
         )
-    hit = marks * bars < lam_mf
-    return jumps, _particle_major(cand_t[hit], cand_i[hit], N)
+    return marks * bars < lam_mf
 
 
 def simulate_hawkes(
@@ -638,6 +651,30 @@ def simulate_coupled(
     )
 
 
+def coupled_sup_difference(
+    N: int,
+    kernel: Kernel,
+    rate: RateFn,
+    mean: MeanPath,
+    T: float,
+    seed: int,
+) -> np.ndarray:
+    """``sup_path_difference`` of the pair ``simulate_coupled`` draws, read off the walk.
+
+    A candidate steps the difference of particle i by (interacting accept) -
+    (Poisson accept).  The walk visits candidates in time order, so one
+    stable sort by particle orders the moving ones by (particle, time), and
+    no log is built.
+    """
+    cand_t, bars, cand_i, marks, accepted = _candidates("coupled", N, kernel, rate, T, seed, mean)
+    step = accepted.astype(np.int64) - _poisson_accepts(mean, cand_t, bars, marks)
+    moved = np.flatnonzero(step)
+    cand_i = cand_i[moved]
+    order = np.argsort(cand_i.astype(np.min_scalar_type(N)), kind="stable")
+    moved = moved[order]
+    return _sup_tail(N, cand_i[order], cand_t[moved], step[moved])
+
+
 def simulate_perturbed(
     N: int,
     kernel: Kernel,
@@ -668,119 +705,6 @@ def simulate_perturbed(
     return EventLog._from_flat(N, T, *flat, seed, "perturbed")
 
 
-def _kernel_mass(kernel: Kernel, T: float):
-    """H(tau) = int_0^tau h for tau in [0, T], and its inverse, as array functions.
-
-    The inverse maps y in [0, H(tau)] to a lag whose H is y; callers clip it
-    to tau, which only rounding can exceed.  ``ValueError`` if h < 0
-    somewhere on [0, T].
-    """
-    if kernel.kind == "tabulated":
-        # h on [0, T] is linear between these knots, so H is quadratic between them
-        knots = np.append(kernel.grid[kernel.grid < T], T)
-        vals = np.interp(knots, kernel.grid, kernel.values)
-        if np.any(vals < 0.0):
-            raise ValueError("the cluster sampler needs h >= 0 on [0, T]")
-        widths = np.diff(knots)
-        slopes = np.append(np.diff(vals) / widths, 0.0)  # flat past T, reached only by rounding
-        cum = np.concatenate(([0.0], np.cumsum(widths * 0.5 * (vals[:-1] + vals[1:]))))
-
-        def mass(tau):
-            j = np.searchsorted(knots, tau, side="right") - 1
-            x = tau - knots[j]
-            return cum[j] + x * (vals[j] + 0.5 * slopes[j] * x)
-
-        def inverse(y):
-            # x with vals[j] x + slopes[j] x^2 / 2 = r, in the form without cancellation
-            j = np.searchsorted(cum, y, side="right") - 1
-            r = y - cum[j]
-            den = vals[j] + np.sqrt(np.maximum(vals[j] ** 2 + 2.0 * slopes[j] * r, 0.0))
-            return knots[j] + np.divide(2.0 * r, den, out=np.zeros_like(r), where=den > 0.0)
-
-        return mass, inverse
-    if kernel.a < 0.0:
-        raise ValueError("the cluster sampler needs h >= 0 on [0, T]")
-    if kernel.kind == "exponential":
-        scale, b = kernel.a / kernel.b, kernel.b
-        return (
-            lambda tau: scale * -np.expm1(-b * tau),
-            lambda y: -np.log1p(-np.minimum(y / scale, 1.0)) / b,
-        )
-    level = kernel.a if kernel.kind == "constant" else 0.0
-    return (lambda tau: level * tau), (lambda y: y / level)
-
-
-def _poisson_inverse(mu: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Poisson(mu_i) counts by inversion: the least k with u_i < P(Poisson(mu_i) <= k)."""
-    p = np.exp(-mu)
-    cdf = p.copy()
-    k = np.zeros(mu.size, dtype=np.int64)
-    live = np.flatnonzero(u >= cdf)
-    while live.size:
-        k[live] += 1
-        p[live] *= mu[live] / k[live]
-        cdf[live] += p[live]
-        # a cdf that rounding stalls below u stops once its terms vanish past the mode
-        live = live[(u[live] >= cdf[live]) & ((p[live] > 0.0) | (k[live] <= mu[live]))]
-    return k
-
-
-def simulate_cluster(N: int, kernel: Kernel, rate: RateFn, T: float, seed: int) -> EventLog:
-    """Exact-in-law sample of the N-particle system for an affine phi, by its cluster form.
-
-    For phi(x) = base + slope * x the superposition of the N particles is a
-    linear Hawkes process (Hawkes & Oakes 1974): immigrants arrive at rate
-    N * base, an event at s has Poisson(slope * H(T - s)) children on (s, T]
-    with H = int_0 h, whose lags have density h / H(T - s), and each event
-    belongs to a particle drawn uniformly and independently.  The log is drawn
-    generation by generation: immigrants as exponential spacings, child counts
-    by Poisson inversion, lags by the exact inverse of H, then the owners.
-    Generation g draws its words from ``MarkStream(seed, g)`` in that order.
-
-    Equal in law to :func:`simulate_hawkes`, not path by path.  ``ValueError``
-    for a non-affine phi, a kernel negative on [0, T], or a child count whose
-    mean exceeds the range of the inversion.
-    """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    if not T > 0:
-        raise ValueError(f"need T > 0, got {T}")
-    if rate.kind != "affine":
-        raise ValueError(f"the cluster sampler needs an affine rate, got {rate.kind!r}")
-    mass, inverse = _kernel_mass(kernel, T)
-    reach = rate.slope * float(mass(np.float64(T)))  # the largest child-count mean
-    if not reach <= _POISSON_MEAN_CEILING:
-        raise ValueError(f"child counts of mean above {_POISSON_MEAN_CEILING} are out of the inversion's range")
-    stream = MarkStream(seed, 0)
-    immigration = N * rate.base
-    expected = immigration * T
-    block = int(expected + 6.0 * math.sqrt(expected)) + 16
-    arrivals = np.zeros(1)
-    while arrivals[-1] <= T:
-        gaps = -np.log1p(-stream.uniforms(block)) / immigration
-        arrivals = np.concatenate([arrivals, arrivals[-1] + np.cumsum(gaps)])
-    parents = arrivals[1 : np.searchsorted(arrivals, T, side="right")]
-    times = [parents]
-    owners = [stream.uniforms(parents.size)]
-    generation = 0
-    while parents.size and reach > 0.0:
-        generation += 1
-        stream = MarkStream(seed, generation)
-        room = T - parents
-        masses = mass(room)
-        kids = _poisson_inverse(rate.slope * masses, stream.uniforms(parents.size))
-        n = int(kids.sum())
-        words = stream.uniforms(2 * n)  # the lags' words, then the owners'
-        lags = np.minimum(inverse(words[:n] * np.repeat(masses, kids)), np.repeat(room, kids))
-        parents = np.minimum(np.repeat(parents, kids) + lags, T)
-        times.append(parents)
-        owners.append(words[n:])
-    times = np.concatenate(times)
-    order = np.argsort(times, kind="stable")
-    owner = (np.concatenate(owners)[order] * N).astype(np.int64)
-    return EventLog._from_flat(N, T, *_particle_major(times[order], owner, N), seed, "hawkes")
-
-
 def sup_path_difference(a: EventLog, b: EventLog) -> np.ndarray:
     """Per-particle sup_t |count_a(t) - count_b(t)| over the common horizon.
 
@@ -798,7 +722,11 @@ def sup_path_difference(a: EventLog, b: EventLog) -> np.ndarray:
     # is read after the last entry of each group.
     order = np.argsort(times)
     order = order[np.argsort(owner[order].astype(np.min_scalar_type(a.N)), kind="stable")]
-    times, owner, step = times[order], owner[order], step[order]
+    return _sup_tail(a.N, owner[order], times[order], step[order])
+
+
+def _sup_tail(N: int, owner: np.ndarray, times: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Per-particle sup of |running sum of ``step``| over entries sorted by (particle, time)."""
     # running count_a - count_b within each particle: the global running sum
     # minus its value just before the particle's first event
     run = np.cumsum(step)
@@ -813,7 +741,7 @@ def sup_path_difference(a: EventLog, b: EventLog) -> np.ndarray:
     # the largest |difference| of each particle's run of entries
     owner, gap = owner[last], np.abs(diff[last])
     heads = np.flatnonzero(np.diff(owner, prepend=-1))
-    out = np.zeros(a.N)
+    out = np.zeros(N)
     out[owner[heads]] = np.maximum.reduceat(gap, heads)
     return out
 

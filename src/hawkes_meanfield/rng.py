@@ -5,7 +5,8 @@ counter-mode generator keyed on ``(seed, stream index)``.  The n-th draw of a
 stream is a pure function of ``(seed, index, n)``, so replicas and particles
 can be simulated in any order, on any number of workers, and still produce
 bit-identical output.  :class:`StreamArray` holds many such streams as
-arrays and reads the same draws off the same words.
+arrays and reads the same draws off the same words; ``ragged_words`` reads
+a different number of words off each of many streams.
 
 The mixer is the 64-bit SplitMix finalizer (Steele, Lea & Flood); a stream is
 the SplitMix sequence entered at an avalanche-mixed per-stream key.
@@ -43,14 +44,20 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+# mix64's shifts and multipliers as numpy scalars, built once: building
+# them took about a third of a small array's mix
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
 def _mix64_np(x: np.ndarray) -> np.ndarray:
-    # vectorized twin of mix64; uint64 arithmetic wraps like the masked ints
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    # vectorized twin of mix64, in place over a uint64 array the caller owns;
+    # uint64 arithmetic wraps like the masked ints
+    x ^= x >> _S30
+    x *= _M1
+    x ^= x >> _S27
+    x *= _M2
+    x ^= x >> _S31
     return x
 
 
@@ -65,6 +72,22 @@ def _stream_keys(seed: int, indices: Sequence[int]) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     base = np.uint64(mix64((seed & _MASK64) ^ _STREAM_SALT))
     return _mix64_np(base + (idx + 1).astype(np.uint64) * np.uint64(_GOLDEN))
+
+
+def seed_keys(seeds: np.ndarray, index: int) -> np.ndarray:
+    """``stream_key(s, index)`` of every seed ``s`` of the uint64 array ``seeds``."""
+    base = _mix64_np(seeds ^ np.uint64(_STREAM_SALT))
+    base += np.uint64(((index + 1) * _GOLDEN) & _MASK64)
+    return _mix64_np(base)
+
+
+def words_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Word ``counters[j]`` of the stream keyed ``keys[j]``, for each j (broadcast).
+
+    Word c of a stream is the word the c-th draw of its ``MarkStream`` reads;
+    every array draw of this module mixes its words here.
+    """
+    return _mix64_np(keys + np.asarray(counters).astype(np.uint64, copy=False) * np.uint64(_GOLDEN))
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -101,8 +124,7 @@ class MarkStream:
         ``cls(seed, i)`` makes.
         """
         keys = _stream_keys(seed, indices)
-        ctr = np.arange(1, PREFETCH + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        top = (_mix64_np(keys[:, None] + ctr[None, :]).reshape(-1) >> np.uint64(11)).astype(np.float64)
+        top = (words_at(keys[:, None], np.arange(1, PREFETCH + 1)).reshape(-1) >> np.uint64(11)).astype(np.float64)
         uniforms = memoryview(top * _U53)
         log_args = memoryview((top + 0.5) * _U53)
         new = cls.__new__
@@ -137,7 +159,7 @@ class MarkStream:
     def _u64_block(self, n: int) -> np.ndarray:
         ctr = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        return _mix64_np(np.uint64(self.key) + ctr * np.uint64(_GOLDEN))
+        return words_at(np.uint64(self.key), ctr)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Block of ``n`` uniforms in [0, 1)."""
@@ -171,8 +193,15 @@ class StreamArray:
 
     def words(self, rows: np.ndarray, n: int) -> np.ndarray:
         """Words ``used + 1 .. used + n`` of each stream in ``rows``, shape (len(rows), n)."""
-        ctr = (self.used[rows, None] + np.arange(1, n + 1)).astype(np.uint64)
-        return _mix64_np(self.keys[rows, None] + ctr * np.uint64(_GOLDEN))
+        return words_at(self.keys[rows, None], self.used[rows, None] + np.arange(1, n + 1))
+
+
+def ragged_words(keys: np.ndarray, used: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Words ``used[r] + 1 .. used[r] + sizes[r]`` of each stream ``keys[r]``, row after row, in one flat array."""
+    starts = np.cumsum(sizes) - sizes
+    # a word's counter is its place in the flat array, less its row's start, plus used + 1
+    counters = np.arange(1, int(sizes.sum()) + 1) + np.repeat(used - starts, sizes)
+    return words_at(np.repeat(keys, sizes), counters)
 
 
 def uniform_of(words: np.ndarray) -> np.ndarray:

@@ -140,6 +140,8 @@ DETERMINISM_CASES = {
     "clt-check": HOMOG,
     "field-clt-check": {**HOMOG, "N": 100, "replicas": 20},
     "couple-scaling": {**EXPLIN, "N": [50, 100, 200], "replicas": 6, "params": {"slope_min": -3.0, "slope_max": 3.0}},
+    # two cluster batches (46 replicas and 14) of an exponential kernel
+    "exp-moment": {**EXPLIN, "N": 100, "replicas": 60},
 }
 
 
@@ -188,9 +190,14 @@ GOLDEN_CONFIGS = {
     "exp-moment": {"model": EXPLIN["model"], "T": 1.0, "dt": 0.001, "N": 100, "replicas": 10, "seed": 813},
     "mdp-rate": {**EXPLIN, "params": {"eta": {"family": "sin", "scale": 0.5}}},
     "mdp-duality": {**EXPLIN, "dt": 0.0025},
+    # three cluster batches: 19, 19 and 2 replicas
+    "clt-check-batches": {
+        "model": EXPLIN["model"], "T": 1.0, "dt": 0.001, "N": 300, "replicas": 40, "seed": 814,
+        "params": {"band": 0.9},
+    },
 }
 # the subcommand of each golden case whose name is not one
-GOLDEN_SUBCOMMANDS = {"simulate-hawkes": "simulate", "simulate-mf_poisson": "simulate"}
+GOLDEN_SUBCOMMANDS = {"simulate-hawkes": "simulate", "simulate-mf_poisson": "simulate", "clt-check-batches": "clt-check"}
 # SHA-256 of every artifact.  The particle checks' digests were recorded before
 # the thinning walk went to rounds, the event logs to one flat array and the
 # limit-field replicas to one batch; mdp-field's CSVs before the time-constant
@@ -208,6 +215,7 @@ GOLDEN_SUBCOMMANDS = {"simulate-hawkes": "simulate", "simulate-mf_poisson": "sim
 # config to 32 replicas (ratio 0.6079 -> 0.7502).
 # The other subcommands' digests were recorded before artifacts were rendered
 # as they are written, so that every writer is pinned byte for byte.
+# clt-check-batches was recorded before cluster replicas were drawn in batches.
 GOLDEN_ARTIFACTS = {
     "field-clt-check": {
         "field_clt_empirical.csv": "5abc8ce4ecfe33a1f01c768291eeffeda98ee59a206f51332cc4d0ebd2e64a1b",
@@ -254,6 +262,10 @@ GOLDEN_ARTIFACTS = {
         "duality.csv": "df2a80977ffefe77355727b792aa063f20327eb9c91cd36a7b8dea72ba027949",
         "summary.json": "139c230174a853059fc03843a05b9570ee41ebdfe5ca81e74f953bdbb5be47e9",
     },
+    "clt-check-batches": {
+        "clt_samples.csv": "2457fa7b9a23dc48e4acd3cbb9b625427e0e0f9369ec788247652b577ff50657",
+        "summary.json": "c0549deffb9f384b10fe0bb677c9079bc154a0da6b02a5729ad9ece15340056f",
+    },
 }
 
 
@@ -264,6 +276,28 @@ def test_artifact_golden_bytes(tmp_path, case):
     assert cli.main([GOLDEN_SUBCOMMANDS.get(case, case), "--config", config, "--output", out]) == 0
     got = {f: hashlib.sha256(open(os.path.join(out, f), "rb").read()).hexdigest() for f in sorted(os.listdir(out))}
     assert got == GOLDEN_ARTIFACTS[case]
+
+
+@pytest.mark.parametrize("subcommand", ["clt-check", "field-clt-check"])
+def test_replica_values_do_not_depend_on_the_batches(tmp_path, monkeypatch, subcommand):
+    # batches sized from the input (19 replicas at N = 300, 22 at N = 250), then
+    # one replica a batch, then 7, and two workers
+    case = GOLDEN_CONFIGS["clt-check-batches"]
+    if subcommand == "field-clt-check":
+        case = {**case, "model": TAB_MODEL, "N": 250, "replicas": 50}
+    cfg = cli.build_config(case, subcommand)
+    assert 2 * cli.cluster_batch(cfg.N, cfg.rate, cfg.T) < cfg.replicas
+    path = _write(tmp_path, case)
+    outs = []
+    for name, size, workers in (("a", None, "1"), ("b", 1, "1"), ("c", 7, "1"), ("d", None, "2")):
+        if size is not None:
+            monkeypatch.setattr(cli, "cluster_batch", lambda N, rate, T, size=size: size)
+        outs.append(str(tmp_path / name))
+        cli.main([subcommand, "--config", path, "--output", outs[-1], "--workers", workers])
+        monkeypatch.undo()
+    for other in outs[1:]:
+        for f in sorted(os.listdir(outs[0])):
+            assert open(os.path.join(other, f), "rb").read() == open(os.path.join(outs[0], f), "rb").read(), (other, f)
 
 
 def test_pmap_pool_is_capped_at_the_core_count(monkeypatch):
@@ -839,7 +873,7 @@ def test_lattice_runs_refuse_a_state_count_with_a_poisson_tail(tmp_path, capsys,
 def test_one_particle_count_subcommands_refuse_a_list_of_N(tmp_path, capsys, monkeypatch, subcommand):
     # each runs one N; it used to run the first entry and record all three
     monkeypatch.setattr(cli, "simulate_hawkes", lambda *a: pytest.fail("a particle system ran"))
-    monkeypatch.setattr(cli, "simulate_cluster", lambda *a: pytest.fail("a particle system ran"))
+    monkeypatch.setattr(cli, "cluster_counts", lambda *a: pytest.fail("a particle system ran"))
     cfg = {**HOMOG, "dt": 0.01, "N": [50, 5000, 100000], "replicas": 4}
     out = str(tmp_path / "o")
     assert cli.main([subcommand, "--config", _write(tmp_path, cfg), "--output", out]) == 2
@@ -851,7 +885,13 @@ CONCAVE_RATE = {"type": "tabulated", "grid": [0.0, 1.0, 4.0], "values": [1.0, 2.
 
 
 @pytest.mark.parametrize("subcommand", ["clt-check", "field-clt-check", "exp-moment"])
-@pytest.mark.parametrize("rate, unused", [(EXPLIN["model"]["rate"], "simulate_hawkes"), (CONCAVE_RATE, "simulate_cluster")])
+# the ids name the sampler that must not run; the cluster sampler's replicas
+# run through its batched entry point
+@pytest.mark.parametrize(
+    "rate, unused",
+    [(EXPLIN["model"]["rate"], "simulate_hawkes"), (CONCAVE_RATE, "cluster_counts")],
+    ids=["rate0-simulate_hawkes", "rate1-simulate_cluster"],
+)
 def test_replicas_take_the_cluster_sampler_exactly_at_an_affine_rate(tmp_path, monkeypatch, subcommand, rate, unused):
     monkeypatch.setattr(cli, unused, lambda *a: pytest.fail(f"{unused} ran"))
     cfg = {**EXPLIN, "model": {**EXPLIN["model"], "rate": rate}, "dt": 0.01, "K": 0, "N": 40, "replicas": 4}

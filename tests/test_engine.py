@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from hawkes_meanfield import engine
+from hawkes_meanfield import cluster, engine
 from hawkes_meanfield.fluct import limit_mean_variance
 from hawkes_meanfield.meanfield import MeanPath, TimeGrid, solve_mean
 from hawkes_meanfield.model import Kernel, RateFn, _scalar_rate
@@ -953,7 +953,7 @@ def _totals(sampler, N, kernel, rate, bank, replicas):
     return np.array([sampler(N, kernel, rate, 1.0, derive_seed(bank, rep)).total_jumps for rep in range(replicas)])
 
 
-@pytest.mark.parametrize("sampler", [engine.simulate_cluster, simulate_hawkes], ids=["cluster", "thinning"])
+@pytest.mark.parametrize("sampler", [cluster.simulate_cluster, simulate_hawkes], ids=["cluster", "thinning"])
 @pytest.mark.parametrize("name", sorted(_CLUSTER_KERNELS))
 def test_affine_identities_hold_at_every_N(sampler, name, affine_rate):
     # For an affine phi the total count is a linear Hawkes process, so
@@ -981,7 +981,7 @@ def test_cluster_matches_thinning_in_law(exp_kernel, affine_rate):
     N, R = 16, 2000
     logs = {
         name: [sampler(N, exp_kernel, affine_rate, 1.0, derive_seed(bank, rep)) for rep in range(R)]
-        for name, sampler, bank in (("cluster", engine.simulate_cluster, 51), ("thinning", simulate_hawkes, 52))
+        for name, sampler, bank in (("cluster", cluster.simulate_cluster, 51), ("thinning", simulate_hawkes, 52))
     }
     totals = {k: np.array([log.total_jumps for log in v]) for k, v in logs.items()}
     assert stats.ks_2samp(totals["cluster"], totals["thinning"]).pvalue > 0.01
@@ -994,7 +994,7 @@ def test_cluster_matches_thinning_in_law(exp_kernel, affine_rate):
 
 
 def test_cluster_zero_kernel_is_a_poisson_system(zero_kernel, const2_rate):
-    log = engine.simulate_cluster(5000, zero_kernel, const2_rate, 1.0, seed=101)
+    log = cluster.simulate_cluster(5000, zero_kernel, const2_rate, 1.0, seed=101)
     assert chi_square_poisson_p(log.counts(1.0), 2.0) > 0.01
     assert stats.kstest(log.times, "uniform").pvalue > 0.01
 
@@ -1004,7 +1004,7 @@ def test_cluster_constant_kernel_keeps_the_affine_identities():
     mean = solve_mean(kernel, rate, 1.0, 1e-3)
     limit_var = limit_mean_variance(mean, kernel, rate)
     N, R = 16, 2000
-    zbar = _totals(engine.simulate_cluster, N, kernel, rate, 61, R) / N
+    zbar = _totals(cluster.simulate_cluster, N, kernel, rate, 61, R) / N
     assert abs(zbar.mean() - mean.m_final) <= 3.0 * zbar.std(ddof=1) / math.sqrt(R)
     assert N * zbar.var(ddof=1) / limit_var == pytest.approx(1.0, abs=3.0 * math.sqrt(2.0 / (R - 1)))
 
@@ -1012,7 +1012,7 @@ def test_cluster_constant_kernel_keeps_the_affine_identities():
 @pytest.mark.parametrize("name", sorted(_CLUSTER_KERNELS))
 def test_cluster_same_seed_same_bytes(name, affine_rate):
     kernel = _CLUSTER_KERNELS[name]
-    a, b, c = (engine.simulate_cluster(300, kernel, affine_rate, 1.0, seed) for seed in (5, 5, 6))
+    a, b, c = (cluster.simulate_cluster(300, kernel, affine_rate, 1.0, seed) for seed in (5, 5, 6))
     assert event_log_to_bytes(a) == event_log_to_bytes(b) != event_log_to_bytes(c)
     # a valid record: times in (0, T], sorted within each particle
     assert event_log_to_bytes(event_log_from_bytes(event_log_to_bytes(a))) == event_log_to_bytes(a)
@@ -1023,7 +1023,7 @@ def test_cluster_same_seed_same_bytes(name, affine_rate):
 def test_cluster_kernel_mass_inverts_exactly(name):
     kernel = TAB if name == "tab" else Kernel.tabulated([0.0, 0.005, 0.015, 20.0], [0.0, 90.0, 0.0, 0.0])
     T = 1.0
-    mass, inverse = engine._kernel_mass(kernel, T)
+    mass, inverse = cluster._kernel_mass(kernel, T)
     lags = np.linspace(0.0, T, 4001)
     # H against a fine trapezoid sum of the interpolant
     fine = np.linspace(0.0, T, 400001)
@@ -1039,12 +1039,110 @@ def test_cluster_kernel_mass_inverts_exactly(name):
 def test_cluster_refuses_what_it_cannot_sample_exactly(exp_kernel, affine_rate):
     concave = RateFn.tabulated([0.0, 1.0, 4.0], [1.0, 2.0, 2.5])
     with pytest.raises(ValueError, match="affine"):
-        engine.simulate_cluster(10, exp_kernel, concave, 1.0, seed=1)
+        cluster.simulate_cluster(10, exp_kernel, concave, 1.0, seed=1)
     dip = Kernel.tabulated([0.0, 0.5, 1.0], [1.0, -0.2, 0.0])
     with pytest.raises(ValueError, match="h >= 0"):
-        engine.simulate_cluster(10, dip, affine_rate, 1.0, seed=1)
+        cluster.simulate_cluster(10, dip, affine_rate, 1.0, seed=1)
     # only h on [0, T] enters the law
     late_dip = Kernel.tabulated([0.0, 1.0, 2.0], [1.0, 0.5, -1.0])
-    assert engine.simulate_cluster(10, late_dip, affine_rate, 1.0, seed=1).total_jumps > 0
+    assert cluster.simulate_cluster(10, late_dip, affine_rate, 1.0, seed=1).total_jumps > 0
     with pytest.raises(ValueError, match="inversion"):
-        engine.simulate_cluster(10, Kernel.constant(1e3), affine_rate, 1.0, seed=1)
+        cluster.simulate_cluster(10, Kernel.constant(1e3), affine_rate, 1.0, seed=1)
+
+
+# --- cluster replicas in batches -----------------------------------------------
+
+_BATCH_KERNELS = {"zero": Kernel.zero(), "constant": Kernel.constant(0.5), "exp": Kernel.exponential(1.0, 2.0), "tab": TAB}
+
+
+def _cluster_reference(N, kernel, rate, T, seed):
+    """The cluster sampler one seed at a time through ``MarkStream``, as it ran before seeds were batched."""
+    mass, inverse = cluster._kernel_mass(kernel, T)
+    reach = rate.slope * float(mass(np.float64(T)))
+    stream = MarkStream(seed, 0)
+    immigration = N * rate.base
+    block = cluster._immigrant_block(immigration * T)
+    arrivals = np.zeros(1)
+    while arrivals[-1] <= T:
+        gaps = -np.log1p(-stream.uniforms(block)) / immigration
+        arrivals = np.concatenate([arrivals, arrivals[-1] + np.cumsum(gaps)])
+    parents = arrivals[1 : np.searchsorted(arrivals, T, side="right")]
+    times, owners = [parents], [stream.uniforms(parents.size)]
+    generation = 0
+    while parents.size and reach > 0.0:
+        generation += 1
+        stream = MarkStream(seed, generation)
+        room = T - parents
+        masses = mass(room)
+        kids = cluster._poisson_inverse(rate.slope * masses, stream.uniforms(parents.size))
+        n = int(kids.sum())
+        words = stream.uniforms(2 * n)
+        lags = np.minimum(inverse(words[:n] * np.repeat(masses, kids)), np.repeat(room, kids))
+        parents = np.minimum(np.repeat(parents, kids) + lags, T)
+        times.append(parents)
+        owners.append(words[n:])
+    times = np.concatenate(times)
+    order = np.argsort(times, kind="stable")
+    owner = (np.concatenate(owners)[order] * N).astype(np.int64)
+    return EventLog._from_flat(N, T, *engine._particle_major(times[order], owner, N), seed, "hawkes")
+
+
+def _assert_batch_matches_reference(N, kernel, rate, seeds):
+    want = [_cluster_reference(N, kernel, rate, 1.0, seed) for seed in seeds]
+    for seed, log in zip(seeds, want):
+        assert event_log_to_bytes(cluster.simulate_cluster(N, kernel, rate, 1.0, seed)) == event_log_to_bytes(log)
+    got = cluster.cluster_counts(N, kernel, rate, 1.0, seeds)
+    assert got.shape == (len(seeds), N) and got.dtype == np.int64
+    assert np.array_equal(got, np.array([log.sizes for log in want]))
+
+
+@pytest.mark.parametrize("N", [1, 7, 300])
+@pytest.mark.parametrize("name", sorted(_BATCH_KERNELS))
+def test_cluster_counts_match_each_seeds_log(name, N, affine_rate):
+    # one seed, and a batch and three seeds more, so that R is no multiple of it
+    kernel = _BATCH_KERNELS[name]
+    seeds = [derive_seed(71, rep) for rep in range(cluster.cluster_batch(N, affine_rate, 1.0) + 3)]
+    _assert_batch_matches_reference(N, kernel, affine_rate, seeds[:1])
+    _assert_batch_matches_reference(N, kernel, affine_rate, seeds)
+
+
+@pytest.mark.parametrize("block", [3, "mean"])
+@pytest.mark.parametrize("name", sorted(_BATCH_KERNELS))
+def test_cluster_replicas_draw_their_own_second_immigrant_blocks(monkeypatch, name, block, affine_rate):
+    # blocks of 3 words give every replica many, each its own number of them; a
+    # block of the mean count gives about half the replicas a second one
+    monkeypatch.setattr(cluster, "_immigrant_block", lambda expected: 3 if block == 3 else int(expected))
+    seeds = [derive_seed(72, rep) for rep in range(11)]
+    _assert_batch_matches_reference(40, _BATCH_KERNELS[name], affine_rate, seeds)
+
+
+def test_cluster_counts_of_no_seeds_are_empty(exp_kernel, affine_rate):
+    assert cluster.cluster_counts(5, exp_kernel, affine_rate, 1.0, []).shape == (0, 5)
+
+
+def test_cluster_batch_is_sized_from_the_immigrant_block(affine_rate):
+    # about 8192 immigrant words a batch, and at least one replica
+    assert [cluster.cluster_batch(N, affine_rate, 1.0) for N in (4, 250, 1000)] == [256, 22, 6]
+    assert cluster.cluster_batch(10**6, affine_rate, 1.0) == 1
+
+
+@pytest.mark.parametrize("N", [1, 7, 120, 1500])
+@pytest.mark.parametrize("kernel, rate, T", [("exp", "affine", 1.0), ("tabulated", "tabulated", 1.0), ("exp", "affine", 10.0)])
+def test_coupled_sup_difference_reads_the_pair_off_the_walk(N, kernel, rate, T):
+    # T = 10 lets a particle's difference climb and fall several times
+    kernel, rate = _WALK_KERNELS[kernel], _WALK_RATES[rate]
+    mean = solve_mean(kernel, rate, T, 0.01)
+    moved = 0.0
+    for rep in range(6):
+        seed = derive_seed(73, rep)
+        pair = simulate_coupled(N, kernel, rate, mean, T, seed)
+        got = engine.coupled_sup_difference(N, kernel, rate, mean, T, seed)
+        assert np.array_equal(got, sup_path_difference(pair.hawkes, pair.poisson))
+        moved += got.sum()
+    # the bank moves the difference, except in a one-particle system of few jumps
+    assert moved > 0.0 or N == 1
+
+
+def test_coupled_sup_difference_is_zero_without_excitation(zero_kernel, const2_rate, homog_mean):
+    got = engine.coupled_sup_difference(500, zero_kernel, const2_rate, homog_mean, 1.0, seed=74)
+    assert got.shape == (500,) and not got.any()

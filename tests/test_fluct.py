@@ -378,7 +378,7 @@ TAB = Kernel.tabulated((0.0, 0.25, 0.5, 1.0), (1.0, 0.7, 0.4, 0.0))
 
 @pytest.mark.parametrize("kind", ["exp", "tab"])
 def test_limit_field_seed_list_matches_per_seed_calls(kind, exp_kernel, affine_rate):
-    # 37 seeds: one full block of replicas stepped together and a partial one
+    # a list of 37 seeds steps each seed's path on its own, with the bits of a one-seed call
     kernel = exp_kernel if kind == "exp" else TAB
     mean = _coarse_mean(kernel, affine_rate, n=60)
     seeds = [derive_seed(59, r) for r in range(37)]

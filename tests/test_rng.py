@@ -2,7 +2,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawkes_meanfield.rng import PREFETCH, MarkStream, StreamArray, derive_seed, exponential_of, stream_key, uniform_of
+from hawkes_meanfield.rng import (
+    PREFETCH,
+    MarkStream,
+    StreamArray,
+    derive_seed,
+    exponential_of,
+    ragged_words,
+    seed_keys,
+    stream_key,
+    uniform_of,
+)
 
 
 def test_reproducible_streams():
@@ -100,3 +110,21 @@ def test_stream_array_reads_the_draws_of_scalar_streams(seed, indices, kinds, sk
             word = words[row, col : col + 1]
             got, want = (exponential_of(word), ref.exponential()) if exp else (uniform_of(word), ref.uniform())
             assert float(got[0]).hex() == want.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 20), st.integers(0, 6)), min_size=1, max_size=6),
+    index=st.integers(0, 2**40),
+)
+def test_ragged_words_read_each_seeds_stream(rows, index):
+    # row r: the stream (seed_r, index), past used_r words, for sizes_r words
+    seeds, used, sizes = (np.array(col, dtype=dtype) for col, dtype in zip(zip(*rows), (np.uint64, np.int64, np.int64)))
+    keys = seed_keys(seeds, index)
+    assert keys.tolist() == [stream_key(int(seed), index) for seed in seeds]
+    want = []
+    for seed, skip, n in rows:
+        ref = MarkStream(seed, index)
+        ref.uniforms(skip)
+        want += ref.uniforms(n).tolist()
+    assert uniform_of(ragged_words(keys, used, sizes)).tolist() == want
