@@ -23,9 +23,9 @@ inside that bound draw their marks and next clocks at once, and a sort by
 (clock, particle) merges them.  Each stream draws exactly the words a
 candidate-by-candidate walk would draw.  Only the draws differ by mode: the
 coupled mode holds its streams as arrays (``rng.StreamArray``), mixes a
-round's words at once and takes each gap's logarithm with ``math.log`` over
-the array, while the interacting and tilted modes draw the same values one
-``MarkStream`` call at a time.
+round's words at once and takes every gap's logarithm from libm in one numpy
+call (``rng.exponential_of``), while the interacting and tilted modes draw
+the same values one ``MarkStream`` call at a time.
 
 One accept walk serves all three modes.  It decides the sorted round in
 speculative blocks of about N candidates: guess which are accepted, compute
@@ -41,7 +41,10 @@ accepts, never on the bits of the intensity, whose last bits could decide an
 accept only at an exact tie with ``u * lbar``.  So numpy's ``exp`` may enter
 the intensity, but only libm's ``log`` enters a clock: numpy's vectorized
 ``log`` and ``exp`` differ from libm's in the last bit on some arguments, and
-on which ones depends on the host.
+on which ones depends on the host.  The array draws reach libm's ``log``
+through numpy's scalar loop, which a reversed 1-D array takes; a probe
+checks once a process that its bits are ``math.log``'s, and ``math.log``
+itself is taken when they are not.
 
 Each particle consumes its own counter-based stream, which is what makes the
 shared-randomness coupling and the tilted variant well defined: the same
@@ -64,7 +67,6 @@ cluster form, in :mod:`hawkes_meanfield.cluster`.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -89,7 +91,6 @@ __all__ = [
     "sup_path_difference",
     "event_log_to_bytes",
     "event_log_from_bytes",
-    "event_log_to_csv",
 ]
 
 _MAGIC = b"HWKS"
@@ -786,10 +787,3 @@ def event_log_from_bytes(buf: bytes, kind: str = "hawkes") -> EventLog:
 def _write_event_log_csv(log: EventLog, fh: BinaryIO) -> None:
     """Write the table ``particle,jump_time``, one row per jump, to the binary file ``fh``."""
     _text.write_csv(fh, "particle,jump_time", _owners(log), log.times)
-
-
-def event_log_to_csv(log: EventLog) -> str:
-    """The text of :func:`_write_event_log_csv`."""
-    buf = io.BytesIO()
-    _write_event_log_csv(log, buf)
-    return buf.getvalue().decode("ascii")

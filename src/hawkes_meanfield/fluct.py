@@ -77,10 +77,6 @@ class FieldPath:
     mass_defect: np.ndarray
     overflow: np.ndarray | None = None
 
-    def project(self, weights: np.ndarray) -> np.ndarray:
-        """<field_t, w> for a state function w given as K+1 weights."""
-        return self.values @ np.asarray(weights, dtype=float)
-
     def to_csv(self, fh: BinaryIO) -> None:
         """Write the long-format table, one row per (grid time, state), to the binary file ``fh``.
 

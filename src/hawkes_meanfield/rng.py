@@ -14,6 +14,7 @@ the SplitMix sequence entered at an avalanche-mixed per-stream key.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -212,9 +213,31 @@ def uniform_of(words: np.ndarray) -> np.ndarray:
 def exponential_of(words: np.ndarray) -> np.ndarray:
     """The exponential ``MarkStream.exponential`` reads off each word.
 
-    The logarithm is libm's, through ``math.log``: numpy's vectorized log
-    differs from it in the last bit on some arguments, and on some hosts.
+    The logarithm is libm's, the one ``math.log`` calls, taken over the whole
+    array by numpy's scalar loop (see ``_clock_log``).  Numpy's vectorized log
+    differs from libm's in the last bit on some arguments, and on some hosts.
     """
     args = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
-    logs = np.fromiter(map(math.log, args.ravel().tolist()), dtype=np.float64, count=args.size)
-    return -logs.reshape(args.shape)
+    return -_clock_log()(args.ravel()).reshape(args.shape)
+
+
+def _libm_log(flat: np.ndarray) -> np.ndarray:
+    # numpy sends a reversed 1-D array to its scalar loop, which calls libm's
+    # log; a contiguous one goes to its SIMD loop
+    return np.log(flat[::-1])[::-1]
+
+
+def _math_log(flat: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, flat.tolist()), dtype=np.float64, count=flat.size)
+
+
+@functools.cache
+def _clock_log():
+    """``_libm_log`` if its bits equal ``math.log``'s on a probe, else ``_math_log``.
+
+    The probe is the log arguments of 4096 words of one stream; numpy's SIMD
+    log misses libm's last bit on about a dozen of them.
+    """
+    words = words_at(np.uint64(stream_key(0, 0)), np.arange(1, 4097))
+    probe = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
+    return _libm_log if _libm_log(probe).tobytes() == _math_log(probe).tobytes() else _math_log

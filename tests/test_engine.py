@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+import io
 import math
 import os
 import struct
@@ -22,7 +23,6 @@ from hawkes_meanfield.engine import (
     SimulationError,
     event_log_from_bytes,
     event_log_to_bytes,
-    event_log_to_csv,
     simulate_coupled,
     simulate_hawkes,
     simulate_perturbed,
@@ -212,7 +212,9 @@ def test_binary_rejects_garbage():
 
 def test_csv_format(zero_kernel, const2_rate):
     log = simulate_hawkes(3, zero_kernel, const2_rate, 1.0, seed=47)
-    text = event_log_to_csv(log)
+    buf = io.BytesIO()
+    engine._write_event_log_csv(log, buf)
+    text = buf.getvalue().decode("ascii")
     lines = text.strip().split("\n")
     assert lines[0] == "particle,jump_time"
     assert len(lines) == 1 + log.total_jumps

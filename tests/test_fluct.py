@@ -298,7 +298,7 @@ def test_limit_field_constant_projection_conserved(exp_kernel, affine_rate):
     mean = _coarse_mean(exp_kernel, affine_rate)
     f = simulate_limit_field(mean, exp_kernel, affine_rate, 30, seed=37)
     ones = np.ones(31)
-    assert np.allclose(f.project(ones), -f.mass_defect, atol=1e-10)
+    assert np.allclose(f.values @ ones, -f.mass_defect, atol=1e-10)
 
 
 def test_limit_field_indicator_variance(zero_kernel, const2_rate):

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hawkes_meanfield import rng
 from hawkes_meanfield.rng import (
     PREFETCH,
     MarkStream,
@@ -128,3 +132,44 @@ def test_ragged_words_read_each_seeds_stream(rows, index):
         ref.uniforms(skip)
         want += ref.uniforms(n).tolist()
     assert uniform_of(ragged_words(keys, used, sizes)).tolist() == want
+
+
+@pytest.fixture(scope="module")
+def bank():
+    # a frozen bank of 2,048,000 words and each one's -math.log clock; numpy's
+    # SIMD log misses libm's last bit on about 0.35 % of such arguments, far
+    # too few for the few words a hypothesis example reads
+    words = StreamArray(2026, range(1000)).words(np.arange(1000), 2048)
+    args = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    logs = np.fromiter(map(math.log, args.ravel().tolist()), dtype=np.float64, count=args.size)
+    return words, -logs.reshape(words.shape)
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [lambda w: w.reshape(-1, 1), lambda w: w[:, 1::2], lambda w: w[:0, :1], lambda w: w[:1, :1]],
+    ids=["column", "odd-columns", "empty", "one-word"],
+)
+def test_exponential_of_takes_math_log_bits_in_every_shape_the_walk_passes(bank, cut):
+    words, clocks = bank
+    got = exponential_of(cut(words))
+    assert got.shape == cut(clocks).shape
+    assert got.tobytes() == cut(clocks).tobytes()
+
+
+def test_clock_log_falls_back_to_math_log_when_numpy_misses_one_bit(bank, monkeypatch):
+    libm_log = rng._libm_log
+
+    def one_ulp_off(flat):
+        logs = libm_log(flat).copy()
+        logs[7] = np.nextafter(logs[7], 0.0)
+        return logs
+
+    monkeypatch.setattr(rng, "_libm_log", one_ulp_off)
+    rng._clock_log.cache_clear()
+    try:
+        assert rng._clock_log() is rng._math_log
+        words, clocks = bank
+        assert exponential_of(words[:, 1::2]).tobytes() == clocks[:, 1::2].tobytes()
+    finally:
+        rng._clock_log.cache_clear()
